@@ -22,10 +22,11 @@ from pathlib import Path
 from typing import Protocol, Sequence
 
 from .embeddings import EmbeddingProvider, TrigramHashEmbedding
+from .errors import InputError
 from .kb import KnowledgeBase
 from .linking import DEFAULT_THRESHOLD
 from .quantity_text import extract_quantities
-from .util import normalize_surface
+from .util import normalize_surface, on_word_boundary, read_lines, write_lines
 
 
 @dataclass(frozen=True)
@@ -58,15 +59,7 @@ def object_contains(obj: str, mention: str) -> bool:
         i = haystack.find(needle, start)
         if i < 0:
             return False
-        ok = True
-        if needle[0].isascii() and needle[0].isalnum() and i > 0:
-            prev = haystack[i - 1]
-            ok = not (prev.isascii() and prev.isalnum())
-        j = i + len(needle)
-        if ok and needle[-1].isascii() and needle[-1].isalnum() and j < len(haystack):
-            nxt = haystack[j]
-            ok = not (nxt.isascii() and nxt.isalnum())
-        if ok:
+        if on_word_boundary(haystack, i, i + len(needle)):
             return True
         start = i + 1
 
@@ -93,19 +86,18 @@ class InMemoryTripletStore:
 def load_triplets(path: str | Path) -> InMemoryTripletStore:
     """TSV: subject TAB predicate TAB object, one triplet per line."""
     triplets = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip():
             continue
         cols = line.split("\t")
         if len(cols) != 3:
-            raise ValueError(f"triplet line {lineno}: expected 3 fields, got {len(cols)}")
+            raise InputError(f"{path}: triplet line {lineno}: expected 3 fields, got {len(cols)}")
         triplets.append(Triplet(cols[0], cols[1], cols[2]))
     return InMemoryTripletStore(triplets)
 
 
 def save_triplets(triplets: Sequence[Triplet], path: str | Path) -> None:
-    lines = [f"{t.subject}\t{t.predicate}\t{t.obj}" for t in triplets]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_lines((path, (f"{t.subject}\t{t.predicate}\t{t.obj}" for t in triplets)))
 
 
 @dataclass(frozen=True)
@@ -116,11 +108,11 @@ class BootstrapConfig:
 
     def __post_init__(self):
         if not (0.0 < self.tau <= 1.0):
-            raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
+            raise InputError(f"tau must lie in (0, 1], got {self.tau}")
         if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+            raise InputError(f"iterations must be >= 0, got {self.iterations}")
         if self.seed_unit_count < 1:
-            raise ValueError("seed_unit_count must be >= 1")
+            raise InputError(f"seed_unit_count must be >= 1, got {self.seed_unit_count}")
 
 
 @dataclass(frozen=True)

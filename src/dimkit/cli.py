@@ -3,8 +3,8 @@
 Subcommands: convert, link, dim, gen-tasks, annotate, bootstrap,
 augment, score.  All randomness flows from --seed through per-sub-task
 derived sub-seeds; every seeded command is bit-reproducible.  No
-command writes to an output path on failure: results are built fully in
-memory first.
+command writes to an output path on failure: every output is built in
+memory first, then all are committed together.
 
 Exit codes:
     0  success
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .kb import KnowledgeBase, conversion_factor, load_kb, lookup_surface, units_of_dimension
 from .linking import Mention, link
-from .util import derive_rng, format_number
+from .util import derive_rng, format_number, jsonl_lines, read_jsonl, read_lines, write_lines
 
 EXIT_OK = 0
 EXIT_EMPTY = 1
@@ -101,14 +101,6 @@ def _resolve_unit(kb, emb, surface: str, threshold: float) -> str:
     if ranked:
         return ranked[0].unit_id
     raise UnitResolutionError(f"cannot resolve unit {surface!r}")
-
-
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -176,54 +168,28 @@ def cmd_gen_tasks(args) -> int:
     emb = _embedder(args.embedder)
     wanted = list(tasks.TASK_TYPES) if args.task_type == "all" else [args.task_type]
 
-    annotated = None
+    options = {"dimension_arithmetic": {"max_terms": args.max_terms}}
     if "dimension_prediction" in wanted:
         if args.annotated:
             annotated = qt.load_annotated(args.annotated)
         else:
-            corpus = packaged_data("corpus_sample.txt").read_text(encoding="utf-8").splitlines()
+            corpus = read_lines(packaged_data("corpus_sample.txt"))
             annotated, _ = qt.annotate_corpus(corpus, kb, emb, qt.ConstantOracle("5"), args.threshold)
+        options["dimension_prediction"] = {"annotated": annotated}
 
     instances: list[tasks.TaskInstance] = []
     for task_type in wanted:
         rng = derive_rng(args.seed, "gen-tasks", task_type)
-        if task_type == "kind_match":
-            instances += tasks.gen_kind_match(kb, rng, args.n, args.m)
-        elif task_type == "comparable":
-            instances += tasks.gen_comparable(kb, rng, args.n, args.m)
-        elif task_type == "dimension_prediction":
-            instances += tasks.gen_dimension_prediction(annotated, kb, rng, args.n, args.m)
-        elif task_type == "dimension_arithmetic":
-            instances += tasks.gen_dimension_arithmetic(kb, rng, args.n, args.max_terms, args.m)
-        elif task_type == "magnitude_comparison":
-            instances += tasks.gen_magnitude_comparison(kb, rng, args.n, args.m)
-        elif task_type == "unit_conversion":
-            instances += tasks.gen_unit_conversion(kb, rng, args.n, args.m)
-
-    lines = []
-    for t in instances:
-        lines.append(
-            json.dumps(
-                {
-                    "id": t.id,
-                    "task_type": t.task_type,
-                    "prompt": t.prompt,
-                    "candidates": list(t.candidates),
-                    "answer_index": t.answer_index,
-                    "rationale": t.rationale,
-                    "seed": t.seed,
-                },
-                ensure_ascii=False,
-            )
-        )
-    _write_lines(args.output, lines)
+        extra = options.get(task_type, {})
+        instances += tasks.generate(task_type, kb, rng, args.n, args.m, **extra)
+    write_lines((args.output, jsonl_lines(t.to_dict() for t in instances)))
     return EXIT_OK
 
 
 def cmd_annotate(args) -> int:
     kb = _load_kb(args)
     emb = _embedder(args.embedder)
-    corpus = Path(args.corpus).read_text(encoding="utf-8").splitlines()
+    corpus = read_lines(args.corpus)
     if args.apply_review:
         rule = qt.rule_annotate(corpus, kb, emb, args.threshold)
         reviewed = qt.apply_review(rule, qt.load_review(args.apply_review))
@@ -232,22 +198,10 @@ def cmd_annotate(args) -> int:
         sentences, review_rows = qt.annotate_corpus(
             corpus, kb, emb, _oracle(args.oracle), args.threshold
         )
-    lines = []
-    for s in sentences:
-        lines.append(
-            json.dumps(
-                {
-                    "line_no": s.line_no,
-                    "text": s.text,
-                    "provenance": s.provenance,
-                    "mentions": [qt.mention_to_dict(m) for m in s.mentions],
-                },
-                ensure_ascii=False,
-            )
-        )
-    _write_lines(args.output, lines)
+    outputs = [(args.output, jsonl_lines(s.to_dict() for s in sentences))]
     if args.review and review_rows:
-        qt.save_review(review_rows, args.review)
+        outputs.append((args.review, qt.review_lines(review_rows)))
+    write_lines(*outputs)
     return EXIT_OK
 
 
@@ -268,7 +222,7 @@ def cmd_bootstrap(args) -> int:
         ensure_ascii=False,
         indent=2,
     )
-    _write_lines(args.output, [payload])
+    write_lines((args.output, [payload]))
     return EXIT_OK
 
 
@@ -283,37 +237,22 @@ def cmd_augment(args) -> int:
     out, records, failures = mwp_mod.augment_dataset(
         problems, kb, rng, args.eta, mix, emb, args.threshold, append=args.append
     )
-    lines = []
-    for p in out:
-        d = {
-            "id": p.id,
-            "body": p.body,
-            "question": p.question,
-            "equation": p.equation,
-            "answer": p.answer,
-        }
-        if p.answer_unit is not None:
-            d["answer_unit"] = p.answer_unit
-        lines.append(json.dumps(d, ensure_ascii=False))
-    _write_lines(args.output, lines)
+    outputs = [(args.output, jsonl_lines(p.to_dict() for p in out))]
     if args.records:
-        mwp_mod.save_records(records, args.records)
+        outputs.append((args.records, jsonl_lines(r.to_dict() for r in records)))
+    write_lines(*outputs)
     for f in failures:
         print(f"skip {f.problem_id} [{f.method}]: {f.reason}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
-    first = ""
-    for line in Path(args.gold).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            first = line
-            break
-    if not first:
+    rows = read_jsonl(args.gold)
+    if not rows:
         print("error: empty gold file", file=sys.stderr)
         return EXIT_DATA
-    if "task_type" in json.loads(first):
-        gold = tasks.load_instances(args.gold)
+    if "task_type" in rows[0]:
+        gold = [tasks.TaskInstance.from_dict(d) for d in rows]
         preds = scoring.load_predictions(args.predictions)
         metrics = scoring.score_predictions(gold, preds)
         print("task\ttotal\tanswered\tcorrect\tprecision\trecall\tf1\taccuracy")
@@ -324,7 +263,7 @@ def cmd_score(args) -> int:
                 f"\t{m.precision:.4f}\t{m.recall:.4f}\t{m.f1:.4f}\t{m.accuracy:.4f}{flag}"
             )
     else:
-        gold = qt.load_annotated(args.gold)
+        gold = [qt.AnnotatedSentence.from_dict(d) for d in rows]
         preds = qt.load_annotated(args.predictions)
         metrics = scoring.score_quantity_extraction(gold, preds)
         print("subtask\tgold\tpredicted\tmatched\tprecision\trecall\tf1")
@@ -419,10 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GenerationError, AugmentationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GENERATION
-    except DimkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (DimkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -25,6 +25,9 @@ from typing import Protocol
 
 import numpy as np
 
+from .errors import InputError
+from .util import read_lines
+
 # Latin/digit runs stay whole; each CJK character is its own token, which
 # keeps Chinese keyword matching exact without a segmenter.
 _TOKEN_RE = re.compile(r"[A-Za-z]+|[0-9]+|[㐀-鿿]")
@@ -87,20 +90,19 @@ class WordVectorEmbedding:
     """File-backed provider over a text vector file."""
 
     def __init__(self, path: str | Path):
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        if not lines:
-            raise ValueError(f"empty vector file {path}")
-        header = lines[0].split()
-        if len(header) != 2:
-            raise ValueError(f"bad vector file header {lines[0]!r}")
-        count, dim = int(header[0]), int(header[1])
-        self.dim = dim
+        lines = read_lines(path)
+        lineno = 1
         self._table: dict[str, np.ndarray] = {}
-        for line in lines[1 : count + 1]:
-            parts = line.rstrip().split(" ")
-            if len(parts) != dim + 1:
-                raise ValueError(f"bad vector row for token {parts[0]!r}")
-            self._table[parts[0]] = np.asarray([float(x) for x in parts[1:]], dtype=np.float64)
+        try:
+            header, *rows = lines or [""]
+            count, self.dim = map(int, header.split())
+            for lineno, line in enumerate(rows[:count], 2):
+                token, *values = line.rstrip().split(" ")
+                if len(values) != self.dim:
+                    raise ValueError(f"expected {self.dim} values, got {len(values)}")
+                self._table[token] = np.asarray([float(x) for x in values], dtype=np.float64)
+        except ValueError as exc:
+            raise InputError(f"{path}: line {lineno}: malformed vector file ({exc})") from None
 
     def tokenize(self, text: str) -> list[str]:
         return tokenize(text)

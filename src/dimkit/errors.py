@@ -12,6 +12,11 @@ class DimkitError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(DimkitError, ValueError):
+    """Malformed or out-of-range input from outside the program: a
+    parameter, a data file line, a vector file."""
+
+
 class DimensionParseError(DimkitError):
     """Malformed encoded dimension string.  Carries the byte offset of the
     first offending character."""

@@ -32,21 +32,7 @@ from .errors import (
     UnknownKindError,
     UnknownUnitError,
 )
-from .util import normalize_surface
-
-_FIELDS = (
-    "unit_id",
-    "label_zh",
-    "label_en",
-    "symbol",
-    "alias",
-    "description",
-    "keywords",
-    "frequency",
-    "quantity_kind",
-    "dimension",
-    "conversion_val",
-)
+from .util import normalize_surface, read_lines, write_lines
 
 
 @dataclass(frozen=True)
@@ -252,8 +238,7 @@ def load_kb(source: str | Path) -> KnowledgeBase:
     """Load and validate a KB file.  Deterministic; an empty file yields
     an empty knowledge base."""
     records = []
-    text = Path(source).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(source), start=1):
         if not line.strip():
             continue
         records.append(_parse_record(line, lineno))
@@ -280,13 +265,13 @@ def dump_kb(kb: KnowledgeBase, path: str | Path) -> None:
         if rec.affine_offset:
             cols.append(repr(rec.affine_offset))
         lines.append("\t".join(cols))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines((path, lines or [""]))
 
 
 def load_frequency_sidecar(path: str | Path) -> dict[str, tuple[float, float, float]]:
     """Read the raw (freq_gt, freq_hs, freq_cf) sidecar file."""
     raw: dict[str, tuple[float, float, float]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip():
             continue
         cols = line.split("\t")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .embeddings import EmbeddingProvider, cosine
-from .errors import LinkingConfigError
+from .errors import InputError, LinkingConfigError
 from .kb import KnowledgeBase, UnitRecord
 from .util import normalize_surface
 
@@ -35,7 +35,7 @@ class Mention:
 
     def __post_init__(self):
         if not self.surface:
-            raise ValueError("mention surface must be non-empty")
+            raise InputError("mention surface must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def candidate_generation(
     KB is immutable after load, so cached entries never go stale.
     """
     if not (0.0 < threshold <= 1.0):
-        raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
+        raise InputError(f"threshold must lie in (0, 1], got {threshold}")
     key = (normalize_surface(surface), threshold)
     cached = kb.match_cache.get(key)
     if cached is None:

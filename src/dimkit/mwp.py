@@ -21,19 +21,28 @@ concatenated.  Equations use digits, '.', and the operator set
 
 from __future__ import annotations
 
-import json
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .embeddings import EmbeddingProvider, TrigramHashEmbedding
-from .errors import AugmentationError, EquationError
+from .errors import AugmentationError, EquationError, InputError
 from .kb import KnowledgeBase, conversion_factor, units_of_dimension
 from .linking import DEFAULT_THRESHOLD, Mention, link
 from .quantity_text import QuantityMention, extract_quantities
-from .util import byte_length, byte_replace, byte_slice, format_plain, normalize_surface
+from .util import (
+    byte_length,
+    byte_replace,
+    byte_slice,
+    format_plain,
+    jsonl_lines,
+    normalize_surface,
+    on_word_boundary,
+    read_jsonl,
+    write_lines,
+)
 
 AUGMENT_METHODS = (
     "context_format",
@@ -159,6 +168,29 @@ class MwpProblem:
     def text(self) -> str:
         return self.body + self.question
 
+    def to_dict(self) -> dict:
+        d = {
+            "id": self.id,
+            "body": self.body,
+            "question": self.question,
+            "equation": self.equation,
+            "answer": self.answer,
+        }
+        if self.answer_unit is not None:
+            d["answer_unit"] = self.answer_unit
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "MwpProblem":
+        return cls(
+            id=str(d["id"]),
+            body=d["body"],
+            question=d["question"],
+            equation=d["equation"],
+            answer=float(d["answer"]),
+            answer_unit=d.get("answer_unit"),
+        )
+
     def check(self) -> None:
         value = evaluate_equation(self.equation)
         tolerance = 1e-9 * max(1.0, abs(self.answer))
@@ -177,6 +209,13 @@ class AugmentationRecord:
     scale: float
     answer_before: float
     answer_after: float
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "AugmentationRecord":
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -217,31 +256,21 @@ def find_unit_mentions(
     position; ambiguity between exact matches resolves through
     context-aware linking."""
     out = []
-    chars = list(text)
     byte_pos = 0
     i = 0
-    while i < len(chars):
+    while i < len(text):
         hit = None
-        for length in range(min(max_len, len(chars) - i), 0, -1):
-            candidate = "".join(chars[i : i + length])
+        for length in range(min(max_len, len(text) - i), 0, -1):
+            candidate = text[i : i + length]
             if candidate != candidate.strip():
                 continue
             exact = kb.surface_index.get(normalize_surface(candidate))
-            if not exact:
+            if not exact or not on_word_boundary(text, i, i + length):
                 continue
-            if candidate[0].isascii() and candidate[0].isalnum() and i > 0:
-                prev = chars[i - 1]
-                if prev.isascii() and prev.isalnum():
-                    continue
-            j = i + length
-            if candidate[-1].isascii() and candidate[-1].isalnum() and j < len(chars):
-                nxt = chars[j]
-                if nxt.isascii() and nxt.isalnum():
-                    continue
             hit = (length, candidate, exact)
             break
         if hit is None:
-            byte_pos += byte_length(chars[i])
+            byte_pos += byte_length(text[i])
             i += 1
             continue
         length, candidate, exact = hit
@@ -258,17 +287,18 @@ def _ensure_mentions(p, kb, emb, threshold) -> MwpProblem:
     return p if p.mentions else annotate_problem(p, kb, emb, threshold)
 
 
-def _alternative_forms(kb, unit_id: str, current_surface: str) -> list[str]:
-    record = kb.unit(unit_id)
-    seen = set()
+def _alternative_form(p, kb, rng, unit_id: str, current_surface: str) -> str:
+    """A random other surface form of the unit, by normalized form."""
+    seen = {normalize_surface(current_surface)}
     forms = []
-    for form in record.surface_forms():
+    for form in kb.unit(unit_id).surface_forms():
         norm = normalize_surface(form)
-        if norm == normalize_surface(current_surface) or norm in seen:
-            continue
-        seen.add(norm)
-        forms.append(form)
-    return forms
+        if norm not in seen:
+            seen.add(norm)
+            forms.append(form)
+    if not forms:
+        raise AugmentationError(f"problem {p.id}: unit {unit_id} has a single surface form")
+    return forms[rng.randrange(len(forms))]
 
 
 def _display_form(kb, unit_id: str, like_surface: str) -> str:
@@ -326,6 +356,15 @@ def _linked_body_mentions(p: MwpProblem) -> list[QuantityMention]:
     ]
 
 
+def _finish_augmentation(p, augmented, kb, emb, threshold, method, original_unit, new_unit, scale):
+    """Check the rewritten problem, re-annotate it and record the change."""
+    augmented.check()
+    augmented = annotate_problem(augmented, kb, emb, threshold)
+    return augmented, AugmentationRecord(
+        p.id, method, original_unit, new_unit, scale, p.answer, augmented.answer
+    )
+
+
 def augment_context_format(
     p: MwpProblem,
     kb: KnowledgeBase,
@@ -340,26 +379,10 @@ def augment_context_format(
     if not mentions:
         raise AugmentationError(f"problem {p.id}: no linked unit mention in body")
     mention = mentions[rng.randrange(len(mentions))]
-    forms = _alternative_forms(kb, mention.linked_unit, mention.unit_surface)
-    if not forms:
-        raise AugmentationError(
-            f"problem {p.id}: unit {mention.linked_unit} has a single surface form"
-        )
-    new_form = forms[rng.randrange(len(forms))]
-    new_body = _insert(p.body, *mention.unit_span, new_form)
-    augmented = replace(p, body=new_body, mentions=())
-    augmented.check()
-    augmented = annotate_problem(augmented, kb, emb, threshold)
-    record = AugmentationRecord(
-        problem_id=p.id,
-        method="context_format",
-        original_unit=mention.linked_unit,
-        new_unit=mention.linked_unit,
-        scale=1.0,
-        answer_before=p.answer,
-        answer_after=augmented.answer,
-    )
-    return augmented, record
+    unit = mention.linked_unit
+    new_form = _alternative_form(p, kb, rng, unit, mention.unit_surface)
+    augmented = replace(p, body=_insert(p.body, *mention.unit_span, new_form), mentions=())
+    return _finish_augmentation(p, augmented, kb, emb, threshold, "context_format", unit, unit, 1.0)
 
 
 def augment_context_dimension(
@@ -410,18 +433,9 @@ def augment_context_dimension(
         rewrite = f"({format_plain(new_value)}*{format_plain(1.0 / beta)})"
     new_equation = _rewrite_literals(p.equation, mention.value, rewrite)
     augmented = replace(p, body=new_body, equation=new_equation, mentions=())
-    augmented.check()
-    augmented = annotate_problem(augmented, kb, emb, threshold)
-    record = AugmentationRecord(
-        problem_id=p.id,
-        method="context_dimension",
-        original_unit=mention.linked_unit,
-        new_unit=alt,
-        scale=beta,
-        answer_before=p.answer,
-        answer_after=augmented.answer,
+    return _finish_augmentation(
+        p, augmented, kb, emb, threshold, "context_dimension", mention.linked_unit, alt, beta
     )
-    return augmented, record
 
 
 def _question_unit(p, kb, emb, threshold) -> UnitMention:
@@ -442,26 +456,11 @@ def augment_question_format(
     emb = emb or TrigramHashEmbedding()
     p = _ensure_mentions(p, kb, emb, threshold)
     unit_mention = _question_unit(p, kb, emb, threshold)
-    forms = _alternative_forms(kb, unit_mention.unit_id, unit_mention.surface)
-    if not forms:
-        raise AugmentationError(
-            f"problem {p.id}: unit {unit_mention.unit_id} has a single surface form"
-        )
-    new_form = forms[rng.randrange(len(forms))]
+    unit = unit_mention.unit_id
+    new_form = _alternative_form(p, kb, rng, unit, unit_mention.surface)
     new_question = _insert(p.question, *unit_mention.span, new_form)
     augmented = replace(p, question=new_question, mentions=())
-    augmented.check()
-    augmented = annotate_problem(augmented, kb, emb, threshold)
-    record = AugmentationRecord(
-        problem_id=p.id,
-        method="question_format",
-        original_unit=unit_mention.unit_id,
-        new_unit=unit_mention.unit_id,
-        scale=1.0,
-        answer_before=p.answer,
-        answer_after=augmented.answer,
-    )
-    return augmented, record
+    return _finish_augmentation(p, augmented, kb, emb, threshold, "question_format", unit, unit, 1.0)
 
 
 def augment_question_dimension(
@@ -505,18 +504,9 @@ def augment_question_dimension(
         answer_unit=alt,
         mentions=(),
     )
-    augmented.check()
-    augmented = annotate_problem(augmented, kb, emb, threshold)
-    record = AugmentationRecord(
-        problem_id=p.id,
-        method="question_dimension",
-        original_unit=unit_mention.unit_id,
-        new_unit=alt,
-        scale=beta,
-        answer_before=p.answer,
-        answer_after=augmented.answer,
+    return _finish_augmentation(
+        p, augmented, kb, emb, threshold, "question_dimension", unit_mention.unit_id, alt, beta
     )
-    return augmented, record
 
 
 _METHOD_FUNCS: dict[str, Callable] = {
@@ -546,12 +536,12 @@ def augment_dataset(
     deterministic for a fixed master RNG state.
     """
     if not (0.0 <= eta <= 1.0):
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        raise InputError(f"eta must lie in [0, 1], got {eta}")
     emb = emb or TrigramHashEmbedding()
     mix = method_mix or {name: 1.0 for name in AUGMENT_METHODS}
     unknown = set(mix) - set(AUGMENT_METHODS)
     if unknown:
-        raise ValueError(f"unknown augmentation methods: {sorted(unknown)}")
+        raise InputError(f"unknown augmentation methods: {sorted(unknown)}")
     names = sorted(mix)
     weights = [mix[name] for name in names]
 
@@ -581,55 +571,16 @@ def augment_dataset(
 
 
 def load_problems(path: str | Path, check: bool = True) -> list[MwpProblem]:
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        d = json.loads(line)
-        p = MwpProblem(
-            id=str(d["id"]),
-            body=d["body"],
-            question=d["question"],
-            equation=d["equation"],
-            answer=float(d["answer"]),
-            answer_unit=d.get("answer_unit"),
-        )
-        if check:
+    problems = [MwpProblem.from_dict(d) for d in read_jsonl(path)]
+    if check:
+        for p in problems:
             p.check()
-        out.append(p)
-    return out
+    return problems
 
 
 def save_problems(problems: Sequence[MwpProblem], path: str | Path) -> None:
-    lines = []
-    for p in problems:
-        d = {
-            "id": p.id,
-            "body": p.body,
-            "question": p.question,
-            "equation": p.equation,
-            "answer": p.answer,
-        }
-        if p.answer_unit is not None:
-            d["answer_unit"] = p.answer_unit
-        lines.append(json.dumps(d, ensure_ascii=False))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_lines((path, jsonl_lines(p.to_dict() for p in problems)))
 
 
 def save_records(records: Sequence[AugmentationRecord], path: str | Path) -> None:
-    lines = [
-        json.dumps(
-            {
-                "problem_id": r.problem_id,
-                "method": r.method,
-                "original_unit": r.original_unit,
-                "new_unit": r.new_unit,
-                "scale": r.scale,
-                "answer_before": r.answer_before,
-                "answer_after": r.answer_after,
-            },
-            ensure_ascii=False,
-        )
-        for r in records
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_lines((path, jsonl_lines(r.to_dict() for r in records)))

@@ -15,7 +15,6 @@ character boundaries).  The pipeline has three stages:
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import subprocess
@@ -26,7 +25,15 @@ from typing import Iterable, Protocol, Sequence
 from .embeddings import EmbeddingProvider
 from .kb import KnowledgeBase
 from .linking import DEFAULT_THRESHOLD, Mention, link
-from .util import byte_replace, byte_slice, char_to_byte_offsets
+from .util import (
+    byte_replace,
+    byte_slice,
+    char_to_byte_offsets,
+    jsonl_lines,
+    read_jsonl,
+    read_lines,
+    write_lines,
+)
 
 MASK_TOKEN = "[MASK]"
 
@@ -71,6 +78,27 @@ class QuantityMention:
         """Full span from value start to unit end (value end when bare)."""
         return (self.value_span[0], self.unit_span[1] if self.unit_span else self.value_span[1])
 
+    def to_dict(self) -> dict:
+        return {
+            "value_span": list(self.value_span),
+            "unit_span": list(self.unit_span) if self.unit_span else None,
+            "value": self.value,
+            "unit_surface": self.unit_surface,
+            "linked_unit": self.linked_unit,
+            "link_score": self.link_score,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "QuantityMention":
+        return cls(
+            value_span=tuple(d["value_span"]),
+            unit_span=tuple(d["unit_span"]) if d.get("unit_span") else None,
+            value=float(d["value"]),
+            unit_surface=d.get("unit_surface", ""),
+            linked_unit=d.get("linked_unit"),
+            link_score=float(d.get("link_score", 0.0)),
+        )
+
 
 @dataclass(frozen=True)
 class AnnotatedSentence:
@@ -78,6 +106,23 @@ class AnnotatedSentence:
     mentions: tuple[QuantityMention, ...]
     provenance: str = "rule"  # rule | rule+filter | reviewed
     line_no: int = 0
+
+    def to_dict(self) -> dict:
+        return {
+            "line_no": self.line_no,
+            "text": self.text,
+            "provenance": self.provenance,
+            "mentions": [m.to_dict() for m in self.mentions],
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "AnnotatedSentence":
+        return cls(
+            text=d["text"],
+            mentions=tuple(QuantityMention.from_dict(m) for m in d["mentions"]),
+            provenance=d.get("provenance", "rule"),
+            line_no=int(d.get("line_no", 0)),
+        )
 
 
 @dataclass(frozen=True)
@@ -347,70 +392,25 @@ def apply_review(
 # Serialization
 
 
-def mention_to_dict(m: QuantityMention) -> dict:
-    return {
-        "value_span": list(m.value_span),
-        "unit_span": list(m.unit_span) if m.unit_span else None,
-        "value": m.value,
-        "unit_surface": m.unit_surface,
-        "linked_unit": m.linked_unit,
-        "link_score": m.link_score,
-    }
-
-
-def mention_from_dict(d: dict) -> QuantityMention:
-    return QuantityMention(
-        value_span=tuple(d["value_span"]),
-        unit_span=tuple(d["unit_span"]) if d.get("unit_span") else None,
-        value=float(d["value"]),
-        unit_surface=d.get("unit_surface", ""),
-        linked_unit=d.get("linked_unit"),
-        link_score=float(d.get("link_score", 0.0)),
-    )
-
-
 def save_annotated(sentences: Sequence[AnnotatedSentence], path: str | Path) -> None:
-    lines = []
-    for s in sentences:
-        lines.append(
-            json.dumps(
-                {
-                    "line_no": s.line_no,
-                    "text": s.text,
-                    "provenance": s.provenance,
-                    "mentions": [mention_to_dict(m) for m in s.mentions],
-                },
-                ensure_ascii=False,
-            )
-        )
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_lines((path, jsonl_lines(s.to_dict() for s in sentences)))
 
 
 def load_annotated(path: str | Path) -> list[AnnotatedSentence]:
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        d = json.loads(line)
-        out.append(
-            AnnotatedSentence(
-                text=d["text"],
-                mentions=tuple(mention_from_dict(m) for m in d["mentions"]),
-                provenance=d.get("provenance", "rule"),
-                line_no=int(d.get("line_no", 0)),
-            )
-        )
-    return out
+    return [AnnotatedSentence.from_dict(d) for d in read_jsonl(path)]
+
+
+def review_lines(rows: Sequence[ReviewRow]) -> list[str]:
+    return [f"{r.line_no}\t{r.span[0]}-{r.span[1]}\t{r.surface}\t{r.verdict}" for r in rows]
 
 
 def save_review(rows: Sequence[ReviewRow], path: str | Path) -> None:
-    lines = [f"{r.line_no}\t{r.span[0]}-{r.span[1]}\t{r.surface}\t{r.verdict}" for r in rows]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_lines((path, review_lines(rows)))
 
 
 def load_review(path: str | Path) -> list[ReviewRow]:
     rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_lines(path):
         if not line.strip():
             continue
         line_no, span, surface, verdict = line.split("\t")

@@ -18,6 +18,7 @@ from typing import Sequence
 from .errors import DimkitError
 from .quantity_text import AnnotatedSentence
 from .tasks import TaskInstance
+from .util import read_jsonl, write_lines
 
 
 @dataclass(frozen=True)
@@ -149,15 +150,12 @@ def score_quantity_extraction(
 
 def load_predictions(path: str | Path) -> list[Prediction]:
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        d = json.loads(line)
+    for d in read_jsonl(path):
         answer = d.get("answer")
         out.append(Prediction(id=d["id"], answer=None if answer is None else int(answer)))
     return out
 
 
 def save_predictions(predictions: Sequence[Prediction], path: str | Path) -> None:
-    lines = [json.dumps({"id": p.id, "answer": p.answer}) for p in predictions]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    # ASCII-escaped JSON, unlike the other JSONL outputs.
+    write_lines((path, (json.dumps({"id": p.id, "answer": p.answer}) for p in predictions)))

@@ -12,7 +12,6 @@ Rationales follow the delimited reasoning/answer shape
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,16 +21,7 @@ from .dimension import DimensionVector, format_symbolic, is_comparable
 from .errors import DimensionRangeError, GenerationError
 from .kb import KnowledgeBase, conversion_factor, units_of_dimension
 from .quantity_text import AnnotatedSentence
-from .util import byte_replace, format_number
-
-TASK_TYPES = (
-    "kind_match",
-    "comparable",
-    "dimension_prediction",
-    "dimension_arithmetic",
-    "magnitude_comparison",
-    "unit_conversion",
-)
+from .util import byte_replace, format_number, jsonl_lines, read_jsonl, write_lines
 
 DEFAULT_CANDIDATES = 4
 _RESAMPLE_BUDGET = 200
@@ -46,6 +36,29 @@ class TaskInstance:
     answer_index: int
     rationale: str
     seed: int
+
+    def to_dict(self) -> dict:
+        return {
+            "id": self.id,
+            "task_type": self.task_type,
+            "prompt": self.prompt,
+            "candidates": list(self.candidates),
+            "answer_index": self.answer_index,
+            "rationale": self.rationale,
+            "seed": self.seed,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TaskInstance":
+        return cls(
+            id=d["id"],
+            task_type=d["task_type"],
+            prompt=d["prompt"],
+            candidates=tuple(d["candidates"]),
+            answer_index=int(d["answer_index"]),
+            rationale=d.get("rationale", ""),
+            seed=int(d.get("seed", 0)),
+        )
 
 
 def _rationale(reasoning: str, answer: str) -> str:
@@ -109,42 +122,76 @@ def _finish(
 
 
 # ---------------------------------------------------------------------------
-# Oracle predicates
+# Oracle predicates: one boolean per candidate, does it satisfy the task?
 
 
-def _oracle_flags(kb: KnowledgeBase, inst: TaskInstance) -> list[bool]:
-    """One boolean per candidate: does it satisfy the task's predicate?"""
-    t = inst.task_type
-    if t == "kind_match":
-        kind = inst.prompt["kind"]
-        return [kb.unit(c).quantity_kind == kind for c in inst.candidates]
-    if t == "comparable":
-        anchor = kb.unit(inst.prompt["anchor"]).dimension
-        return [is_comparable(kb.unit(c).dimension, anchor) for c in inst.candidates]
-    if t == "dimension_prediction":
-        target = kb.unit(inst.prompt["source_unit"]).dimension
-        return [is_comparable(kb.unit(c).dimension, target) for c in inst.candidates]
-    if t == "dimension_arithmetic":
-        dim = expression_dimension(kb, inst.prompt["terms"], inst.prompt["ops"])
-        return [is_comparable(kb.unit(c).dimension, dim) for c in inst.candidates]
-    if t == "magnitude_comparison":
-        values = [kb.unit(c).conversion_val for c in inst.candidates]
-        peak = max(values)
-        return [v == peak for v in values]
-    if t == "unit_conversion":
-        beta = conversion_factor(kb, inst.prompt["from_unit"], inst.prompt["to_unit"])
-        return [abs(float(c) - beta) <= 1e-9 * abs(beta) for c in inst.candidates]
-    raise GenerationError(f"unknown task_type {t!r}")
+def _has_dimension(kb: KnowledgeBase, inst: TaskInstance, dim: DimensionVector) -> list[bool]:
+    return [is_comparable(kb.unit(c).dimension, dim) for c in inst.candidates]
+
+
+def _kind_match_oracle(kb: KnowledgeBase, inst: TaskInstance) -> list[bool]:
+    return [kb.unit(c).quantity_kind == inst.prompt["kind"] for c in inst.candidates]
+
+
+def _comparable_oracle(kb: KnowledgeBase, inst: TaskInstance) -> list[bool]:
+    return _has_dimension(kb, inst, kb.unit(inst.prompt["anchor"]).dimension)
+
+
+def _dimension_prediction_oracle(kb: KnowledgeBase, inst: TaskInstance) -> list[bool]:
+    return _has_dimension(kb, inst, kb.unit(inst.prompt["source_unit"]).dimension)
+
+
+def _dimension_arithmetic_oracle(kb: KnowledgeBase, inst: TaskInstance) -> list[bool]:
+    dim = expression_dimension(kb, inst.prompt["terms"], inst.prompt["ops"])
+    return _has_dimension(kb, inst, dim)
+
+
+def _magnitude_comparison_oracle(kb: KnowledgeBase, inst: TaskInstance) -> list[bool]:
+    values = [kb.unit(c).conversion_val for c in inst.candidates]
+    peak = max(values)
+    return [v == peak for v in values]
+
+
+def _same_factor(value: float, beta: float) -> bool:
+    """The unit_conversion tolerance, shared by the oracle and by the
+    generator's distractor filter so the two can never disagree."""
+    return abs(value - beta) <= 1e-9 * abs(beta)
+
+
+def _unit_conversion_oracle(kb: KnowledgeBase, inst: TaskInstance) -> list[bool]:
+    beta = conversion_factor(kb, inst.prompt["from_unit"], inst.prompt["to_unit"])
+    return [_same_factor(float(c), beta) for c in inst.candidates]
 
 
 def verify_instance(kb: KnowledgeBase, inst: TaskInstance) -> None:
     """Post-generation verification: exactly one correct candidate, and
     answer_index points at it."""
-    flags = _oracle_flags(kb, inst)
+    oracle = ORACLES.get(inst.task_type)
+    if oracle is None:
+        raise GenerationError(f"unknown task_type {inst.task_type!r}")
+    flags = oracle(kb, inst)
     if sum(flags) != 1 or not flags[inst.answer_index]:
         raise GenerationError(
             f"instance {inst.id} fails its oracle: flags={flags}, answer={inst.answer_index}"
         )
+
+
+def _running_dimensions(
+    kb: KnowledgeBase, terms: Sequence[str], ops: Sequence[str]
+) -> list[DimensionVector]:
+    """Dimension of each prefix ``u1 op1 ... uk`` of the expression."""
+    if len(ops) != len(terms) - 1:
+        raise GenerationError(f"{len(terms)} terms need {len(terms) - 1} ops, got {len(ops)}")
+    dims = [kb.unit(terms[0]).dimension]
+    for op, term in zip(ops, terms[1:]):
+        other = kb.unit(term).dimension
+        if op in ("×", "*"):
+            dims.append(dims[-1] * other)
+        elif op in ("÷", "/"):
+            dims.append(dims[-1] / other)
+        else:
+            raise GenerationError(f"unknown operator {op!r}")
+    return dims
 
 
 def expression_dimension(
@@ -152,18 +199,7 @@ def expression_dimension(
 ) -> DimensionVector:
     """Left-to-right dimension of ``u1 op1 u2 ... op(n-1) un``: flat
     form, no precedence."""
-    if len(ops) != len(terms) - 1:
-        raise GenerationError(f"{len(terms)} terms need {len(terms) - 1} ops, got {len(ops)}")
-    dim = kb.unit(terms[0]).dimension
-    for op, term in zip(ops, terms[1:]):
-        other = kb.unit(term).dimension
-        if op in ("×", "*"):
-            dim = dim * other
-        elif op in ("÷", "/"):
-            dim = dim / other
-        else:
-            raise GenerationError(f"unknown operator {op!r}")
-    return dim
+    return _running_dimensions(kb, terms, ops)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +350,10 @@ def gen_dimension_arithmetic(
             for part in pair
             if part
         )
-        steps = [f"dim({_label(kb, terms[0])}) = {format_symbolic(kb.unit(terms[0]).dimension)}"]
-        running = kb.unit(terms[0]).dimension
-        for op, term in zip(ops, terms[1:]):
-            running = running * kb.unit(term).dimension if op == "×" else running / kb.unit(term).dimension
-            steps.append(f"{op} dim({_label(kb, term)}) -> {format_symbolic(running)}")
+        running = _running_dimensions(kb, terms, ops)
+        steps = [f"dim({_label(kb, terms[0])}) = {format_symbolic(running[0])}"]
+        for op, term, prefix_dim in zip(ops, terms[1:], running[1:]):
+            steps.append(f"{op} dim({_label(kb, term)}) -> {format_symbolic(prefix_dim)}")
         reasoning = "; ".join(steps) + f"; {_label(kb, correct)} has dimension {format_symbolic(dim)}."
         prompt = {"expression": expression, "terms": terms, "ops": ops}
         out.append(
@@ -404,7 +439,7 @@ def gen_unit_conversion(
         chosen: list[float] = []
         irng.shuffle(distractor_values)
         for v in distractor_values:
-            if v != beta and v not in chosen and len(chosen) < m - 1:
+            if not _same_factor(v, beta) and v not in chosen and len(chosen) < m - 1:
                 chosen.append(v)
         if len(chosen) < m - 1:
             raise GenerationError(f"could not build {m - 1} distinct distractors for beta={beta}")
@@ -427,43 +462,55 @@ def gen_unit_conversion(
 
 
 # ---------------------------------------------------------------------------
+# Registry: one entry per task family, in output order.  Both maps hold
+# the functions themselves, so wrappers installed by identity (profilers,
+# tracers) also see the calls dispatched through them.
+
+GENERATORS = {
+    "kind_match": gen_kind_match,
+    "comparable": gen_comparable,
+    "dimension_prediction": gen_dimension_prediction,
+    "dimension_arithmetic": gen_dimension_arithmetic,
+    "magnitude_comparison": gen_magnitude_comparison,
+    "unit_conversion": gen_unit_conversion,
+}
+
+ORACLES = {
+    "kind_match": _kind_match_oracle,
+    "comparable": _comparable_oracle,
+    "dimension_prediction": _dimension_prediction_oracle,
+    "dimension_arithmetic": _dimension_arithmetic_oracle,
+    "magnitude_comparison": _magnitude_comparison_oracle,
+    "unit_conversion": _unit_conversion_oracle,
+}
+
+TASK_TYPES = tuple(GENERATORS)
+
+
+def generate(
+    task_type: str,
+    kb: KnowledgeBase,
+    rng: random.Random,
+    n: int,
+    m: int = DEFAULT_CANDIDATES,
+    **options,
+) -> list[TaskInstance]:
+    """n instances of one family; family-specific inputs (``annotated``,
+    ``max_terms``) pass as keywords.  Rejects degenerate sizes for all."""
+    if n < 0:
+        raise GenerationError(f"instance count must be >= 0, got {n}")
+    if m < 2:
+        raise GenerationError(f"need >= 2 candidates per instance, got {m}")
+    return GENERATORS[task_type](kb=kb, rng=rng, n=n, m=m, **options)
+
+
+# ---------------------------------------------------------------------------
 # Serialization
 
 
 def save_instances(instances: Sequence[TaskInstance], path: str | Path) -> None:
-    lines = [
-        json.dumps(
-            {
-                "id": t.id,
-                "task_type": t.task_type,
-                "prompt": t.prompt,
-                "candidates": list(t.candidates),
-                "answer_index": t.answer_index,
-                "rationale": t.rationale,
-                "seed": t.seed,
-            },
-            ensure_ascii=False,
-        )
-        for t in instances
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_lines((path, jsonl_lines(t.to_dict() for t in instances)))
 
 
 def load_instances(path: str | Path) -> list[TaskInstance]:
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        d = json.loads(line)
-        out.append(
-            TaskInstance(
-                id=d["id"],
-                task_type=d["task_type"],
-                prompt=d["prompt"],
-                candidates=tuple(d["candidates"]),
-                answer_index=int(d["answer_index"]),
-                rationale=d.get("rationale", ""),
-                seed=int(d.get("seed", 0)),
-            )
-        )
-    return out
+    return [TaskInstance.from_dict(d) for d in read_jsonl(path)]

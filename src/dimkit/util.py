@@ -1,11 +1,19 @@
 """Shared helpers: surface normalization, number formatting, seeded RNG
-derivation, byte-span arithmetic."""
+derivation, byte-span arithmetic, and the one reader and one writer for
+line-oriented files."""
 
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 import random
+import sys
 import unicodedata
+from pathlib import Path
+from typing import Iterable, Iterator
+
+from .errors import InputError
 
 _ASCII_UPPER = str.maketrans({chr(c): chr(c + 32) for c in range(ord("A"), ord("Z") + 1)})
 
@@ -20,6 +28,19 @@ def normalize_surface(text: str) -> str:
     text = unicodedata.normalize("NFC", text)
     text = " ".join(text.split())
     return text.translate(_ASCII_UPPER)
+
+
+def _ascii_alnum(ch: str) -> bool:
+    return ch.isascii() and ch.isalnum()
+
+
+def on_word_boundary(text: str, start: int, end: int) -> bool:
+    """False when text[start:end] is glued to an ASCII alphanumeric on an
+    edge whose own character is an ASCII alphanumeric; otherwise
+    one-letter symbols ("t", "m") would match inside nearly every word."""
+    if start > 0 and _ascii_alnum(text[start]) and _ascii_alnum(text[start - 1]):
+        return False
+    return not (end < len(text) and _ascii_alnum(text[end - 1]) and _ascii_alnum(text[end]))
 
 
 def format_number(x: float) -> str:
@@ -84,3 +105,64 @@ def char_to_byte_offsets(text: str) -> list[int]:
         total += len(ch.encode("utf-8"))
         offsets.append(total)
     return offsets
+
+
+# ---------------------------------------------------------------------------
+# Line-oriented files
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """Lines of a UTF-8 text file, without line endings."""
+    return Path(path).read_text(encoding="utf-8").splitlines()
+
+
+def read_jsonl(path: str | Path) -> list:
+    """One JSON value per non-blank line; a malformed line raises
+    InputError naming the file and the line number."""
+    out = []
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line.strip():
+            continue
+        try:
+            out.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: line {lineno}: malformed JSON ({exc})") from None
+    return out
+
+
+def jsonl_lines(records: Iterable[dict]) -> Iterator[str]:
+    return (json.dumps(r, ensure_ascii=False) for r in records)
+
+
+def write_lines(*outputs: tuple[str | Path | None, Iterable[str]]) -> None:
+    """Write each output's lines, newline-terminated: every file or none.
+
+    All texts are built first and written to temporaries beside their
+    targets, which os.replace then moves into place; on failure (say, a
+    missing directory) the temporaries are removed and no target is
+    touched.  A None or empty path is stdout, written after the files.
+    """
+    texts = [(path, "".join(line + "\n" for line in lines)) for path, lines in outputs]
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for i, (path, text) in enumerate(texts):
+            if not path:
+                continue
+            target = Path(path)
+            tmp = target.with_name(f".{target.name}.{os.getpid()}.{i}.tmp")
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except OSError as exc:
+                raise type(exc)(exc.errno, exc.strerror, str(target)) from None
+            staged.append((tmp, target))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    for path, text in texts:
+        if not path:
+            sys.stdout.write(text)

@@ -109,6 +109,69 @@ class TestGenTasks:
             verify_instance(kb, inst)
 
 
+    @pytest.mark.parametrize("size", [["-m", "1"], ["-n", "-1"]])
+    def test_degenerate_sizes_exit_5_and_write_nothing(self, capsys, tmp_path, size):
+        out = tmp_path / "t.jsonl"
+        code, stdout, _ = run(capsys, "gen-tasks", "kind_match", "-n", "2", *size, "-o", str(out))
+        assert code == 5
+        assert stdout == "" and not out.exists()
+
+
+class TestNoOutputOnFailure:
+    def test_augment_missing_records_dir(self, capsys, tmp_path, data_dir):
+        out = tmp_path / "out.jsonl"
+        code, _, err = run(
+            capsys, "augment", str(data_dir / "mwp_sample.jsonl"),
+            "-o", str(out), "--records", str(tmp_path / "missing" / "dir" / "r.jsonl"),
+        )
+        assert code == 4
+        assert "r.jsonl" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_annotate_missing_review_dir(self, capsys, tmp_path, data_dir, to_file):
+        output = ["-o", str(tmp_path / "ann.jsonl")] if to_file else []
+        code, stdout, _ = run(
+            capsys, "annotate", str(data_dir / "corpus_sample.txt"),
+            *output, "--review", str(tmp_path / "missing" / "x.tsv"),
+        )
+        assert code == 4
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["augment", "{data}/mwp_sample.jsonl", "--eta", "2"],
+            ["augment", "{data}/mwp_sample.jsonl", "--methods", "bogus"],
+            ["bootstrap", "{data}/triplets.tsv", "--tau", "0"],
+            ["bootstrap", "{data}/triplets.tsv", "--iters", "-1"],
+            ["bootstrap", "{data}/triplets.tsv", "--seed-units", "0"],
+            ["--threshold", "0", "link", "meter"],
+            ["--threshold", "1.5", "link", "meter"],
+            ["link", ""],
+            ["--embedder", "vectors:{tmp}/vectors.txt", "link", "degree"],
+            ["bootstrap", "{tmp}/triplets.tsv"],
+            ["score", "{tmp}/bad.jsonl", "{tmp}/bad.jsonl"],
+        ],
+    )
+    def test_exit_4_without_traceback(self, capsys, tmp_path, data_dir, argv):
+        (tmp_path / "vectors.txt").write_text("2 3\nwater 1.0 x 0.0\n", encoding="utf-8")
+        (tmp_path / "triplets.tsv").write_text("a\tb\n", encoding="utf-8")
+        (tmp_path / "bad.jsonl").write_text('{"id": "a"}\n{"id": 1\n', encoding="utf-8")
+        code, _, err = run(capsys, *[a.format(data=data_dir, tmp=tmp_path) for a in argv])
+        assert code == 4
+        assert err.startswith("error: ")
+
+    def test_malformed_json_names_file_and_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "a"}\n\n{"id": 1\n', encoding="utf-8")
+        _, _, err = run(capsys, "score", str(bad), str(bad))
+        assert f"{bad}: line 3:" in err
+
+
 class TestAnnotateAndScore:
     def test_annotate_writes_jsonl_and_review(self, capsys, tmp_path, data_dir):
         out = tmp_path / "annotated.jsonl"

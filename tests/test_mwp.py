@@ -7,6 +7,7 @@ from dimkit.errors import AugmentationError, EquationError
 from dimkit.kb import KnowledgeBase, conversion_factor
 from dimkit.mwp import (
     AUGMENT_METHODS,
+    AugmentationRecord,
     MwpProblem,
     annotate_problem,
     augment_context_dimension,
@@ -323,3 +324,8 @@ class TestAugmentDataset:
         reloaded = load_problems(ppath)
         assert [p.id for p in reloaded] == [p.id for p in out]
         assert len(rpath.read_text(encoding="utf-8").splitlines()) == len(records)
+
+    def test_records_roundtrip(self, problems, kb, emb):
+        _, records, _ = augment_dataset(problems, kb, random.Random(3), 1.0, emb=emb)
+        assert records
+        assert [AugmentationRecord.from_dict(r.to_dict()) for r in records] == records

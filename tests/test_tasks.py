@@ -7,6 +7,9 @@ import pytest
 from dimkit.errors import GenerationError
 from dimkit.quantity_text import ConstantOracle, annotate_corpus
 from dimkit.tasks import (
+    GENERATORS,
+    ORACLES,
+    TASK_TYPES,
     expression_dimension,
     gen_comparable,
     gen_dimension_arithmetic,
@@ -14,6 +17,7 @@ from dimkit.tasks import (
     gen_kind_match,
     gen_magnitude_comparison,
     gen_unit_conversion,
+    generate,
     load_instances,
     save_instances,
     verify_instance,
@@ -238,6 +242,23 @@ class TestUnitConversion:
             assert inst.prompt["from_unit"] != inst.prompt["to_unit"]
             assert float(inst.candidates[inst.answer_index]) != 1.0
 
+    def test_near_duplicate_distractor_is_filtered(self):
+        from dimkit.dimension import DimensionVector
+        from dimkit.kb import KnowledgeBase
+        from test_kb import make_record
+
+        # 0.1 vs 1e-6 * 1e5 == 0.09999999999999999 (DeciPA vs MicroBAR on an
+        # SI-prefixed KB): distractors such as the alternative pair's factor or
+        # the reciprocal land within the oracle's tolerance of beta, and must
+        # be dropped rather than abort generation.
+        dim = DimensionVector.of(M=1, L=-1, T=-2)
+        tiny = KnowledgeBase.from_records([
+            make_record("PA", "Pressure", dim, 1.0),
+            make_record("DeciPA", "Pressure", dim, 0.1),
+            make_record("MicroBAR", "Pressure", dim, 1e-6 * 1e5),
+        ])
+        assert_single_correct(tiny, gen_unit_conversion(tiny, random.Random(0), 60))
+
 
 class TestDeterminismAndIO:
     def test_same_seed_same_instances(self, kb, annotated):
@@ -260,3 +281,19 @@ class TestDeterminismAndIO:
         first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
         assert set(first) == {"id", "task_type", "prompt", "candidates",
                               "answer_index", "rationale", "seed"}
+
+
+class TestRegistry:
+    def test_generator_and_oracle_keys_follow_task_types(self):
+        assert tuple(GENERATORS) == tuple(ORACLES) == TASK_TYPES
+
+    def test_generate_matches_direct_call(self, kb, annotated):
+        direct = gen_dimension_prediction(annotated, kb, random.Random(5), 6, 3)
+        routed = generate("dimension_prediction", kb, random.Random(5), 6, 3, annotated=annotated)
+        assert routed == direct
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 0), (-1, 4)])
+    def test_degenerate_sizes_rejected(self, kb, n, m):
+        for task_type in TASK_TYPES:
+            with pytest.raises(GenerationError):
+                generate(task_type, kb, random.Random(0), n, m)
