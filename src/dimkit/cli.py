@@ -110,12 +110,8 @@ def _resolve_unit(kb, emb, surface: str, threshold: float) -> str:
 def cmd_convert(args) -> int:
     kb = _load_kb(args)
     emb = _embedder(args.embedder)
-    try:
-        u1 = _resolve_unit(kb, emb, args.from_unit, args.threshold)
-        u2 = _resolve_unit(kb, emb, args.to_unit, args.threshold)
-    except UnitResolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNRESOLVABLE
+    u1 = _resolve_unit(kb, emb, args.from_unit, args.threshold)
+    u2 = _resolve_unit(kb, emb, args.to_unit, args.threshold)
     try:
         beta = conversion_factor(kb, u1, u2)
     except IncomparableUnitsError as exc:
@@ -148,11 +144,7 @@ def cmd_dim(args) -> int:
     if not terms or len(ops) != len(terms) - 1:
         print(f"error: cannot parse expression {args.expression!r}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        unit_ids = [_resolve_unit(kb, emb, t, args.threshold) for t in terms]
-    except UnitResolutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNRESOLVABLE
+    unit_ids = [_resolve_unit(kb, emb, t, args.threshold) for t in terms]
     dim = tasks.expression_dimension(kb, unit_ids, ops)
     print(format_symbolic(dim))
     matches = sorted(units_of_dimension(kb, dim))
@@ -182,7 +174,7 @@ def cmd_gen_tasks(args) -> int:
         rng = derive_rng(args.seed, "gen-tasks", task_type)
         extra = options.get(task_type, {})
         instances += tasks.generate(task_type, kb, rng, args.n, args.m, **extra)
-    write_lines((args.output, jsonl_lines(t.to_dict() for t in instances)))
+    tasks.save_instances(instances, args.output)
     return EXIT_OK
 
 
@@ -198,7 +190,7 @@ def cmd_annotate(args) -> int:
         sentences, review_rows = qt.annotate_corpus(
             corpus, kb, emb, _oracle(args.oracle), args.threshold
         )
-    outputs = [(args.output, jsonl_lines(s.to_dict() for s in sentences))]
+    outputs = [(args.output, jsonl_lines(sentences))]
     if args.review and review_rows:
         outputs.append((args.review, qt.review_lines(review_rows)))
     write_lines(*outputs)
@@ -237,9 +229,9 @@ def cmd_augment(args) -> int:
     out, records, failures = mwp_mod.augment_dataset(
         problems, kb, rng, args.eta, mix, emb, args.threshold, append=args.append
     )
-    outputs = [(args.output, jsonl_lines(p.to_dict() for p in out))]
+    outputs = [(args.output, jsonl_lines(out))]
     if args.records:
-        outputs.append((args.records, jsonl_lines(r.to_dict() for r in records)))
+        outputs.append((args.records, jsonl_lines(records)))
     write_lines(*outputs)
     for f in failures:
         print(f"skip {f.problem_id} [{f.method}]: {f.reason}", file=sys.stderr)
@@ -358,6 +350,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GenerationError, AugmentationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GENERATION
+    except UnitResolutionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNRESOLVABLE
     except (DimkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -18,7 +18,7 @@ freq_cf`` with strictly positive raw scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -346,12 +346,3 @@ def lookup_surface(kb: KnowledgeBase, form: str) -> frozenset[str]:
 def units_of_dimension(kb: KnowledgeBase, dv: DimensionVector) -> frozenset[str]:
     """All and only units whose dimension equals dv."""
     return frozenset(kb.dimension_index.get(format_dimension(dv), ()))
-
-
-def with_frequencies(kb: KnowledgeBase, freqs: Mapping[str, float]) -> KnowledgeBase:
-    """Rebuild the KB with the given per-unit frequencies (unlisted units
-    keep their current value)."""
-    updated = [
-        replace(rec, frequency=freqs.get(uid, rec.frequency)) for uid, rec in kb.records.items()
-    ]
-    return KnowledgeBase.from_records(updated)

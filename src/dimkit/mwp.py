@@ -579,8 +579,8 @@ def load_problems(path: str | Path, check: bool = True) -> list[MwpProblem]:
 
 
 def save_problems(problems: Sequence[MwpProblem], path: str | Path) -> None:
-    write_lines((path, jsonl_lines(p.to_dict() for p in problems)))
+    write_lines((path, jsonl_lines(problems)))
 
 
 def save_records(records: Sequence[AugmentationRecord], path: str | Path) -> None:
-    write_lines((path, jsonl_lines(r.to_dict() for r in records)))
+    write_lines((path, jsonl_lines(records)))

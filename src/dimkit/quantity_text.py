@@ -393,7 +393,7 @@ def apply_review(
 
 
 def save_annotated(sentences: Sequence[AnnotatedSentence], path: str | Path) -> None:
-    write_lines((path, jsonl_lines(s.to_dict() for s in sentences)))
+    write_lines((path, jsonl_lines(sentences)))
 
 
 def load_annotated(path: str | Path) -> list[AnnotatedSentence]:

@@ -508,8 +508,8 @@ def generate(
 # Serialization
 
 
-def save_instances(instances: Sequence[TaskInstance], path: str | Path) -> None:
-    write_lines((path, jsonl_lines(t.to_dict() for t in instances)))
+def save_instances(instances: Sequence[TaskInstance], path: str | Path | None) -> None:
+    write_lines((path, jsonl_lines(instances)))
 
 
 def load_instances(path: str | Path) -> list[TaskInstance]:

@@ -130,38 +130,52 @@ def read_jsonl(path: str | Path) -> list:
     return out
 
 
-def jsonl_lines(records: Iterable[dict]) -> Iterator[str]:
-    return (json.dumps(r, ensure_ascii=False) for r in records)
+def jsonl_lines(records: Iterable) -> Iterator[str]:
+    """One JSON line per record, from its to_dict codec."""
+    return (json.dumps(r.to_dict(), ensure_ascii=False) for r in records)
 
 
 def write_lines(*outputs: tuple[str | Path | None, Iterable[str]]) -> None:
-    """Write each output's lines, newline-terminated: every file or none.
+    """Write each output's lines, newline-terminated; a None path is stdout.
 
-    All texts are built first and written to temporaries beside their
-    targets, which os.replace then moves into place; on failure (say, a
-    missing directory) the temporaries are removed and no target is
-    touched.  A None or empty path is stdout, written after the files.
+    Every text is built, and a directory target rejected, before any
+    write.  New targets are staged in temporaries beside them, so a
+    failure (say, a missing directory) removes those and creates no
+    file.  Existing targets (files, symlinks, devices, FIFOs) are then
+    written in place, keeping mode, owner and links; os.replace moves
+    the temporaries onto the new targets; stdout comes last.
     """
+    import errno
+    import tempfile
+
     texts = [(path, "".join(line + "\n" for line in lines)) for path, lines in outputs]
-    staged: list[tuple[Path, Path]] = []
+    files = [(Path(p), t.encode("utf-8"), os.path.lexists(p)) for p, t in texts if p]
+    for target, _, _ in files:
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+    umask = os.umask(0)
+    os.umask(umask)
+    staged: list[tuple[str, Path]] = []
     try:
-        for i, (path, text) in enumerate(texts):
-            if not path:
+        for target, data, exists in files:
+            if exists:
                 continue
-            target = Path(path)
-            tmp = target.with_name(f".{target.name}.{os.getpid()}.{i}.tmp")
             try:
-                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
             except OSError as exc:
                 raise type(exc)(exc.errno, exc.strerror, str(target)) from None
             staged.append((tmp, target))
             with os.fdopen(fd, "wb") as fh:
-                fh.write(text.encode("utf-8"))
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
+                fh.write(data)
+        for target, data, exists in files:
+            if exists:
+                target.write_bytes(data)
         for tmp, target in staged:
             os.replace(tmp, target)
     except BaseException:
         for tmp, _ in staged:
-            tmp.unlink(missing_ok=True)
+            Path(tmp).unlink(missing_ok=True)
         raise
     for path, text in texts:
         if not path:

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -138,6 +140,71 @@ class TestNoOutputOnFailure:
         assert code == 4
         assert stdout == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_annotate_review_is_directory(self, capsys, tmp_path, data_dir):
+        (tmp_path / "rev").mkdir()
+        code, stdout, _ = run(
+            capsys, "annotate", str(data_dir / "corpus_sample.txt"),
+            "-o", str(tmp_path / "ann.jsonl"), "--review", str(tmp_path / "rev"),
+        )
+        assert code == 4
+        assert stdout == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["rev"]
+        assert list((tmp_path / "rev").iterdir()) == []
+
+    def test_augment_records_is_directory(self, capsys, tmp_path, data_dir):
+        (tmp_path / "rec").mkdir()
+        code, _, _ = run(
+            capsys, "augment", str(data_dir / "mwp_sample.jsonl"),
+            "-o", str(tmp_path / "out.jsonl"), "--records", str(tmp_path / "rec"),
+        )
+        assert code == 4
+        assert [p.name for p in tmp_path.iterdir()] == ["rec"]
+
+
+class TestOutputTargets:
+    GEN = ("gen-tasks", "kind_match", "-n", "3", "--seed", "1")
+
+    def expected(self, capsys):
+        code, stdout, _ = run(capsys, *self.GEN)
+        assert code == 0
+        return stdout
+
+    def test_devnull_stays_a_device(self, capsys):
+        code, _, _ = run(capsys, *self.GEN, "-o", os.devnull)
+        assert code == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_symlink_written_through(self, capsys, tmp_path):
+        (tmp_path / "real.jsonl").write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to("real.jsonl")
+        code, _, _ = run(capsys, *self.GEN, "-o", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert (tmp_path / "real.jsonl").read_text(encoding="utf-8") == self.expected(capsys)
+
+    def test_existing_file_keeps_mode_and_links(self, capsys, tmp_path):
+        out, twin = tmp_path / "out.jsonl", tmp_path / "twin.jsonl"
+        out.write_text("old\n", encoding="utf-8")
+        out.chmod(0o640)
+        code, _, _ = run(capsys, *self.GEN, "-o", str(out))
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        os.link(out, twin)
+        code, _, _ = run(capsys, *self.GEN, "--seed", "2", "-o", str(out))
+        assert code == 0
+        assert os.path.samefile(out, twin)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "twin.jsonl"]
+
+    def test_new_file_mode_follows_umask(self, capsys, tmp_path):
+        mask = os.umask(0o027)
+        try:
+            code, _, _ = run(capsys, *self.GEN, "-o", str(tmp_path / "out.jsonl"))
+        finally:
+            os.umask(mask)
+        assert code == 0
+        assert stat.S_IMODE((tmp_path / "out.jsonl").stat().st_mode) == 0o640
 
 
 class TestInputErrors:
