@@ -26,7 +26,7 @@ from .errors import InputError
 from .kb import KnowledgeBase
 from .linking import DEFAULT_THRESHOLD
 from .quantity_text import extract_quantities
-from .util import normalize_surface, on_word_boundary, read_lines, write_lines
+from .util import normalize_surface, on_word_boundary, read_lines
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,6 @@ def load_triplets(path: str | Path) -> InMemoryTripletStore:
             raise InputError(f"{path}: triplet line {lineno}: expected 3 fields, got {len(cols)}")
         triplets.append(Triplet(cols[0], cols[1], cols[2]))
     return InMemoryTripletStore(triplets)
-
-
-def save_triplets(triplets: Sequence[Triplet], path: str | Path) -> None:
-    write_lines((path, (f"{t.subject}\t{t.predicate}\t{t.obj}" for t in triplets)))
 
 
 @dataclass(frozen=True)

@@ -40,11 +40,12 @@ from .errors import (
     DimkitError,
     GenerationError,
     IncomparableUnitsError,
+    InputError,
     UnitResolutionError,
 )
 from .kb import KnowledgeBase, conversion_factor, load_kb, lookup_surface, units_of_dimension
 from .linking import Mention, link
-from .util import derive_rng, format_number, jsonl_lines, read_jsonl, read_lines, write_lines
+from .util import derive_rng, format_number, jsonl_lines, read_lines, read_records, write_lines
 
 EXIT_OK = 0
 EXIT_EMPTY = 1
@@ -239,12 +240,18 @@ def cmd_augment(args) -> int:
 
 
 def cmd_score(args) -> int:
-    rows = read_jsonl(args.gold)
-    if not rows:
+    codec = None  # the first record decides the gold file's kind
+
+    def decode(d: dict):
+        nonlocal codec
+        codec = codec or (tasks.TaskInstance if "task_type" in d else qt.AnnotatedSentence)
+        return codec.from_dict(d)
+
+    gold = read_records(args.gold, decode)
+    if not gold:
         print("error: empty gold file", file=sys.stderr)
         return EXIT_DATA
-    if "task_type" in rows[0]:
-        gold = [tasks.TaskInstance.from_dict(d) for d in rows]
+    if codec is tasks.TaskInstance:
         preds = scoring.load_predictions(args.predictions)
         metrics = scoring.score_predictions(gold, preds)
         print("task\ttotal\tanswered\tcorrect\tprecision\trecall\tf1\taccuracy")
@@ -255,7 +262,6 @@ def cmd_score(args) -> int:
                 f"\t{m.precision:.4f}\t{m.recall:.4f}\t{m.f1:.4f}\t{m.accuracy:.4f}{flag}"
             )
     else:
-        gold = [qt.AnnotatedSentence.from_dict(d) for d in rows]
         preds = qt.load_annotated(args.predictions)
         metrics = scoring.score_quantity_extraction(gold, preds)
         print("subtask\tgold\tpredicted\tmatched\tprecision\trecall\tf1")
@@ -346,6 +352,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0.0 < args.threshold <= 1.0:  # checked here: some commands never generate candidates
+            raise InputError(f"threshold must lie in (0, 1], got {args.threshold}")
         return args.func(args)
     except (GenerationError, AugmentationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,8 +8,9 @@ the schema's field order:
 
 List fields (symbol, alias, keywords) use '|' as the internal separator;
 the dimension field is the encoded string of :mod:`dimkit.dimension`;
-an empty field is the empty string.  The optional 12th column is the
-affine offset (0 when absent); only degree-Celsius-style units set it.
+an empty field is the empty string, but keywords must be non-empty.
+The optional 12th column is the affine offset (0 when absent); only
+degree-Celsius-style units set it.
 
 The frequency sidecar file is ``unit_id TAB freq_gt TAB freq_hs TAB
 freq_cf`` with strictly positive raw scores.
@@ -32,7 +33,7 @@ from .errors import (
     UnknownKindError,
     UnknownUnitError,
 )
-from .util import normalize_surface, read_lines, write_lines
+from .util import normalize_surface, read_lines
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,10 @@ class KnowledgeBase:
                     record_id=rec.unit_id,
                     field="frequency",
                 )
+            if not rec.keywords:  # context scoring is lazy: fail here, not mid-run
+                raise KbValidationError(
+                    "keywords must be non-empty", record_id=rec.unit_id, field="keywords"
+                )
             by_id[rec.unit_id] = rec
 
         kinds: dict[str, QuantityKind] = {}
@@ -243,29 +248,6 @@ def load_kb(source: str | Path) -> KnowledgeBase:
             continue
         records.append(_parse_record(line, lineno))
     return KnowledgeBase.from_records(records)
-
-
-def dump_kb(kb: KnowledgeBase, path: str | Path) -> None:
-    """Inverse of load_kb; writes records sorted by unit_id."""
-    lines = []
-    for rec in kb.records.values():
-        cols = [
-            rec.unit_id,
-            rec.label_zh,
-            rec.label_en,
-            "|".join(rec.symbol),
-            "|".join(rec.alias),
-            rec.description,
-            "|".join(rec.keywords),
-            repr(rec.frequency),
-            rec.quantity_kind,
-            format_dimension(rec.dimension),
-            repr(rec.conversion_val),
-        ]
-        if rec.affine_offset:
-            cols.append(repr(rec.affine_offset))
-        lines.append("\t".join(cols))
-    write_lines((path, lines or [""]))
 
 
 def load_frequency_sidecar(path: str | Path) -> dict[str, tuple[float, float, float]]:

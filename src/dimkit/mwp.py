@@ -17,6 +17,11 @@ Problems are JSON-Lines records {id, body, question, equation, answer,
 answer_unit?}; spans are UTF-8 byte offsets over body + question
 concatenated.  Equations use digits, '.', and the operator set
 + - * / % = ( ) where '%' is postfix percent.
+
+The context methods link body quantities: the mentions a problem
+carries, else those :func:`annotate_problem` extracts.  The question
+methods read only the question.  Augmented problems carry no mentions;
+call :func:`annotate_problem` on one to get them.
 """
 
 from __future__ import annotations
@@ -40,15 +45,8 @@ from .util import (
     jsonl_lines,
     normalize_surface,
     on_word_boundary,
-    read_jsonl,
+    read_records,
     write_lines,
-)
-
-AUGMENT_METHODS = (
-    "context_format",
-    "context_dimension",
-    "question_format",
-    "question_dimension",
 )
 
 #: context_dimension rejects rewritten values outside this band so
@@ -274,17 +272,13 @@ def find_unit_mentions(
             i += 1
             continue
         length, candidate, exact = hit
-        ranked = link(kb, Mention(candidate, context=text), emb, threshold)
+        ranked = link(kb, Mention(candidate, context=text), emb, threshold) if len(exact) > 1 else []
         unit_id = next((c.unit_id for c in ranked if c.unit_id in exact), exact[0])
         end = byte_pos + byte_length(candidate)
         out.append(UnitMention((byte_pos, end), candidate, unit_id))
         byte_pos = end
         i += length
     return out
-
-
-def _ensure_mentions(p, kb, emb, threshold) -> MwpProblem:
-    return p if p.mentions else annotate_problem(p, kb, emb, threshold)
 
 
 def _alternative_form(p, kb, rng, unit_id: str, current_surface: str) -> str:
@@ -347,7 +341,10 @@ def _rewrite_literals(equation: str, old_value: float, replacement: str) -> str:
     return "".join(out)
 
 
-def _linked_body_mentions(p: MwpProblem) -> list[QuantityMention]:
+def _linked_body_mentions(p: MwpProblem, kb, emb, threshold) -> list[QuantityMention]:
+    """Linked body mentions: those p carries, else those annotate_problem extracts."""
+    if not p.mentions:
+        p = annotate_problem(p, kb, emb or TrigramHashEmbedding(), threshold)
     body_len = byte_length(p.body)
     return [
         m
@@ -356,10 +353,9 @@ def _linked_body_mentions(p: MwpProblem) -> list[QuantityMention]:
     ]
 
 
-def _finish_augmentation(p, augmented, kb, emb, threshold, method, original_unit, new_unit, scale):
-    """Check the rewritten problem, re-annotate it and record the change."""
+def _finish_augmentation(p, augmented, method, original_unit, new_unit, scale):
+    """Check the rewritten problem and record the change."""
     augmented.check()
-    augmented = annotate_problem(augmented, kb, emb, threshold)
     return augmented, AugmentationRecord(
         p.id, method, original_unit, new_unit, scale, p.answer, augmented.answer
     )
@@ -373,16 +369,14 @@ def augment_context_format(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> tuple[MwpProblem, AugmentationRecord]:
     """Swap a body unit surface for an equivalent alternative format."""
-    emb = emb or TrigramHashEmbedding()
-    p = _ensure_mentions(p, kb, emb, threshold)
-    mentions = _linked_body_mentions(p)
+    mentions = _linked_body_mentions(p, kb, emb, threshold)
     if not mentions:
         raise AugmentationError(f"problem {p.id}: no linked unit mention in body")
     mention = mentions[rng.randrange(len(mentions))]
     unit = mention.linked_unit
     new_form = _alternative_form(p, kb, rng, unit, mention.unit_surface)
     augmented = replace(p, body=_insert(p.body, *mention.unit_span, new_form), mentions=())
-    return _finish_augmentation(p, augmented, kb, emb, threshold, "context_format", unit, unit, 1.0)
+    return _finish_augmentation(p, augmented, "context_format", unit, unit, 1.0)
 
 
 def augment_context_dimension(
@@ -399,10 +393,8 @@ def augment_context_dimension(
     target_unit restricts the substitution to one new unit (controlled
     augmentation); by default the rng picks among all plausible ones.
     """
-    emb = emb or TrigramHashEmbedding()
-    p = _ensure_mentions(p, kb, emb, threshold)
     candidates: list[tuple[QuantityMention, str, float]] = []
-    for mention in _linked_body_mentions(p):
+    for mention in _linked_body_mentions(p, kb, emb, threshold):
         old = kb.unit(mention.linked_unit)
         if old.affine_offset != 0.0:
             continue
@@ -433,13 +425,11 @@ def augment_context_dimension(
         rewrite = f"({format_plain(new_value)}*{format_plain(1.0 / beta)})"
     new_equation = _rewrite_literals(p.equation, mention.value, rewrite)
     augmented = replace(p, body=new_body, equation=new_equation, mentions=())
-    return _finish_augmentation(
-        p, augmented, kb, emb, threshold, "context_dimension", mention.linked_unit, alt, beta
-    )
+    return _finish_augmentation(p, augmented, "context_dimension", mention.linked_unit, alt, beta)
 
 
 def _question_unit(p, kb, emb, threshold) -> UnitMention:
-    found = find_unit_mentions(p.question, kb, emb, threshold)
+    found = find_unit_mentions(p.question, kb, emb or TrigramHashEmbedding(), threshold)
     if not found:
         raise AugmentationError(f"problem {p.id}: question contains no linked unit mention")
     return found[-1]  # the asked unit is the one nearest the question mark
@@ -453,14 +443,12 @@ def augment_question_format(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> tuple[MwpProblem, AugmentationRecord]:
     """Swap the question unit's surface for an alternative format."""
-    emb = emb or TrigramHashEmbedding()
-    p = _ensure_mentions(p, kb, emb, threshold)
     unit_mention = _question_unit(p, kb, emb, threshold)
     unit = unit_mention.unit_id
     new_form = _alternative_form(p, kb, rng, unit, unit_mention.surface)
     new_question = _insert(p.question, *unit_mention.span, new_form)
     augmented = replace(p, question=new_question, mentions=())
-    return _finish_augmentation(p, augmented, kb, emb, threshold, "question_format", unit, unit, 1.0)
+    return _finish_augmentation(p, augmented, "question_format", unit, unit, 1.0)
 
 
 def augment_question_dimension(
@@ -474,8 +462,6 @@ def augment_question_dimension(
     """Swap the question unit for a same-dimension unit; the answer is
     rescaled by the conversion factor and the equation wrapped so it
     evaluates to the new answer."""
-    emb = emb or TrigramHashEmbedding()
-    p = _ensure_mentions(p, kb, emb, threshold)
     unit_mention = _question_unit(p, kb, emb, threshold)
     old = kb.unit(unit_mention.unit_id)
     if old.affine_offset != 0.0:
@@ -504,9 +490,7 @@ def augment_question_dimension(
         answer_unit=alt,
         mentions=(),
     )
-    return _finish_augmentation(
-        p, augmented, kb, emb, threshold, "question_dimension", unit_mention.unit_id, alt, beta
-    )
+    return _finish_augmentation(p, augmented, "question_dimension", unit_mention.unit_id, alt, beta)
 
 
 _METHOD_FUNCS: dict[str, Callable] = {
@@ -515,6 +499,8 @@ _METHOD_FUNCS: dict[str, Callable] = {
     "question_format": augment_question_format,
     "question_dimension": augment_question_dimension,
 }
+
+AUGMENT_METHODS = tuple(_METHOD_FUNCS)
 
 
 def augment_dataset(
@@ -533,7 +519,8 @@ def augment_dataset(
     through unchanged and the failure is recorded.  Output size equals
     the input size (in-place policy) or twice it (append policy).  Each
     problem gets a derived sub-seed, so the selection set is
-    deterministic for a fixed master RNG state.
+    deterministic for a fixed master RNG state.  Augmented problems come
+    back with ``mentions=()``.
     """
     if not (0.0 <= eta <= 1.0):
         raise InputError(f"eta must lie in [0, 1], got {eta}")
@@ -571,7 +558,7 @@ def augment_dataset(
 
 
 def load_problems(path: str | Path, check: bool = True) -> list[MwpProblem]:
-    problems = [MwpProblem.from_dict(d) for d in read_jsonl(path)]
+    problems = read_records(path, MwpProblem.from_dict)
     if check:
         for p in problems:
             p.check()

@@ -23,15 +23,16 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 from .embeddings import EmbeddingProvider
+from .errors import InputError
 from .kb import KnowledgeBase
-from .linking import DEFAULT_THRESHOLD, Mention, link
+from .linking import DEFAULT_THRESHOLD, Mention, candidate_generation, link
 from .util import (
     byte_replace,
     byte_slice,
     char_to_byte_offsets,
     jsonl_lines,
-    read_jsonl,
     read_lines,
+    read_records,
     write_lines,
 )
 
@@ -253,41 +254,33 @@ def extract_quantities(
     """Rule-stage quantity detection: each extracted value plus the unit
     read off the window that follows it.
 
-    Window prefixes anchored at the value's end are linked with the full
-    sentence as context.  The mention boundary is the prefix whose best
-    candidate has the highest mention similarity (longer prefix on
-    ties), so "dyn/cm" beats "dyn" and "ml" beats "m"; the full
-    prior x mention x context product then picks the unit within that
-    prefix.  Values whose window yields no link become bare-value
-    mentions.
+    The mention boundary is the window prefix, anchored at the value's
+    end, whose best candidate has the highest mention similarity (longer
+    prefix on ties), so "dyn/cm" beats "dyn" and "ml" beats "m".  Only
+    that prefix is linked, with the full sentence as context: the full
+    prior x mention x context product then picks its unit.  Values whose
+    window yields no candidate become bare-value mentions.
     """
     to_byte = char_to_byte_offsets(text)
     byte_to_char = {b: c for c, b in enumerate(to_byte)}
     mentions = []
     for (vstart, vend), value in extract_values(text):
         win_char_start, window = _unit_window(text, byte_to_char[vend])
-        best: tuple[float, int, str, object] | None = None
-        for end in range(1, len(window) + 1):
-            prefix = window[:end].rstrip()
-            if not prefix or (best is not None and prefix == best[2]):
-                continue
-            ranked = link(kb, Mention(prefix, context=text), emb, threshold)
-            if not ranked:
-                continue
-            similarity = max(c.p_mention for c in ranked)
-            key = (similarity, len(prefix))
-            if best is None or key > (best[0], best[1]):
-                best = (similarity, len(prefix), prefix, ranked[0])
-        if best is None:
+        prefixes = dict.fromkeys(window[:end].rstrip() for end in range(1, len(window) + 1))
+        scored = [
+            (max(c.p_mention for c in candidates), len(prefix), prefix)
+            for prefix in prefixes
+            if (candidates := candidate_generation(kb, prefix, threshold))
+        ]
+        if not scored:
             mentions.append(QuantityMention((vstart, vend), None, value))
             continue
-        _, plen, prefix, top = best
-        ustart = to_byte[win_char_start]
-        uend = to_byte[win_char_start + plen]
+        _, plen, prefix = max(scored)
+        top = link(kb, Mention(prefix, context=text), emb, threshold)[0]
         mentions.append(
             QuantityMention(
                 value_span=(vstart, vend),
-                unit_span=(ustart, uend),
+                unit_span=(to_byte[win_char_start], to_byte[win_char_start + plen]),
                 value=value,
                 unit_surface=prefix,
                 linked_unit=top.unit_id,
@@ -316,11 +309,6 @@ def rule_annotate(
     return out
 
 
-def _mask_quantity(text: str, mention: QuantityMention) -> str:
-    start, end = mention.quantity_span
-    return byte_replace(text, start, end, MASK_TOKEN)
-
-
 def annotate_corpus(
     corpus: Iterable[str],
     kb: KnowledgeBase,
@@ -343,8 +331,9 @@ def annotate_corpus(
         failed = False
         for mention in sent.mentions:
             surface = byte_slice(sent.text, *mention.quantity_span)
+            masked = byte_replace(sent.text, *mention.quantity_span, MASK_TOKEN)
             try:
-                prediction = oracle.predict(_mask_quantity(sent.text, mention))
+                prediction = oracle.predict(masked)
             except Exception:
                 failed = True
                 kept.append(mention)
@@ -352,7 +341,7 @@ def annotate_corpus(
                 continue
             if is_numeric_literal(prediction):
                 verdict = "kept:numeric"
-            elif prediction.strip() and link(kb, Mention(prediction.strip(), ""), emb, threshold):
+            elif prediction.strip() and candidate_generation(kb, prediction.strip(), threshold):
                 verdict = "kept:unit"
             else:
                 verdict = "removed"
@@ -397,7 +386,7 @@ def save_annotated(sentences: Sequence[AnnotatedSentence], path: str | Path) -> 
 
 
 def load_annotated(path: str | Path) -> list[AnnotatedSentence]:
-    return [AnnotatedSentence.from_dict(d) for d in read_jsonl(path)]
+    return read_records(path, AnnotatedSentence.from_dict)
 
 
 def review_lines(rows: Sequence[ReviewRow]) -> list[str]:
@@ -409,11 +398,18 @@ def save_review(rows: Sequence[ReviewRow], path: str | Path) -> None:
 
 
 def load_review(path: str | Path) -> list[ReviewRow]:
+    """Rows written by :func:`save_review`; a malformed line raises
+    InputError naming the file and the line."""
     rows = []
-    for line in read_lines(path):
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip():
             continue
-        line_no, span, surface, verdict = line.split("\t")
-        start, end = span.split("-")
-        rows.append(ReviewRow(int(line_no), (int(start), int(end)), surface, verdict))
+        try:
+            line_no, span, surface, verdict = line.split("\t")
+            start, end = span.split("-")
+            rows.append(ReviewRow(int(line_no), (int(start), int(end)), surface, verdict))
+        except ValueError:
+            raise InputError(
+                f"{path}: line {lineno}: expected LINE<TAB>START-END<TAB>SURFACE<TAB>VERDICT"
+            ) from None
     return rows

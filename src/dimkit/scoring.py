@@ -18,13 +18,18 @@ from typing import Sequence
 from .errors import DimkitError
 from .quantity_text import AnnotatedSentence
 from .tasks import TaskInstance
-from .util import read_jsonl, write_lines
+from .util import read_records, write_lines
 
 
 @dataclass(frozen=True)
 class Prediction:
     id: str
     answer: int | None
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Prediction":
+        answer = d.get("answer")
+        return cls(id=d["id"], answer=None if answer is None else int(answer))
 
 
 @dataclass(frozen=True)
@@ -149,11 +154,7 @@ def score_quantity_extraction(
 
 
 def load_predictions(path: str | Path) -> list[Prediction]:
-    out = []
-    for d in read_jsonl(path):
-        answer = d.get("answer")
-        out.append(Prediction(id=d["id"], answer=None if answer is None else int(answer)))
-    return out
+    return read_records(path, Prediction.from_dict)
 
 
 def save_predictions(predictions: Sequence[Prediction], path: str | Path) -> None:

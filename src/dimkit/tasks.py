@@ -21,7 +21,7 @@ from .dimension import DimensionVector, format_symbolic, is_comparable
 from .errors import DimensionRangeError, GenerationError
 from .kb import KnowledgeBase, conversion_factor, units_of_dimension
 from .quantity_text import AnnotatedSentence
-from .util import byte_replace, format_number, jsonl_lines, read_jsonl, write_lines
+from .util import byte_replace, format_number, jsonl_lines, read_records, write_lines
 
 DEFAULT_CANDIDATES = 4
 _RESAMPLE_BUDGET = 200
@@ -513,4 +513,4 @@ def save_instances(instances: Sequence[TaskInstance], path: str | Path | None) -
 
 
 def load_instances(path: str | Path) -> list[TaskInstance]:
-    return [TaskInstance.from_dict(d) for d in read_jsonl(path)]
+    return read_records(path, TaskInstance.from_dict)

@@ -11,7 +11,7 @@ import random
 import sys
 import unicodedata
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import InputError
 
@@ -116,17 +116,46 @@ def read_lines(path: str | Path) -> list[str]:
     return Path(path).read_text(encoding="utf-8").splitlines()
 
 
-def read_jsonl(path: str | Path) -> list:
-    """One JSON value per non-blank line; a malformed line raises
-    InputError naming the file and the line number."""
-    out = []
+class _Fields(dict):
+    """A JSONL object that remembers the field read last, so errors can name it."""
+
+    last = None
+
+    def __getitem__(self, key):
+        self.last = key
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.last = key
+        return super().get(key, default)
+
+
+def read_records(path: str | Path, from_dict: Callable[[dict], object]) -> list:
+    """One record per non-blank JSONL line, decoded by from_dict.
+
+    Malformed JSON (checked over the whole file first), a line that is
+    not a JSON object, and a missing or malformed field raise InputError
+    naming the file, the line and the field.
+    """
+    rows = []
     for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip():
             continue
         try:
-            out.append(json.loads(line))
+            rows.append((f"{path}: line {lineno}", json.loads(line)))
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: line {lineno}: malformed JSON ({exc})") from None
+    out = []
+    for where, fields in rows:
+        if not isinstance(fields, dict):
+            raise InputError(f"{where}: expected a JSON object")
+        fields = _Fields(fields)
+        try:
+            out.append(from_dict(fields))
+        except KeyError as exc:
+            raise InputError(f"{where}: missing field {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{where}: malformed field {fields.last!r} ({exc})") from None
     return out
 
 

@@ -222,6 +222,8 @@ class TestInputErrors:
             ["--embedder", "vectors:{tmp}/vectors.txt", "link", "degree"],
             ["bootstrap", "{tmp}/triplets.tsv"],
             ["score", "{tmp}/bad.jsonl", "{tmp}/bad.jsonl"],
+            ["--threshold", "0", "convert", "1", "meter", "centimeter"],
+            ["--threshold", "1.5", "augment", "{data}/mwp_sample.jsonl", "--methods", "question_format"],
         ],
     )
     def test_exit_4_without_traceback(self, capsys, tmp_path, data_dir, argv):
@@ -231,6 +233,61 @@ class TestInputErrors:
         code, _, err = run(capsys, *[a.format(data=data_dir, tmp=tmp_path) for a in argv])
         assert code == 4
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv,bad_file,line,field",
+        [
+            (["score", "gold_no_id.jsonl", "preds.jsonl"], "gold_no_id.jsonl", 1, "'id'"),
+            (["score", "gold.jsonl", "preds_no_id.jsonl"], "preds_no_id.jsonl", 2, "'id'"),
+            (["augment", "problem_no_question.jsonl"], "problem_no_question.jsonl", 1, "'question'"),
+            (["augment", "problem_bad_answer.jsonl"], "problem_bad_answer.jsonl", 1, "'answer'"),
+            (["augment", "problem_list.jsonl"], "problem_list.jsonl", 1, "JSON object"),
+            (
+                ["gen-tasks", "dimension_prediction", "--annotated", "annotated_no_text.jsonl"],
+                "annotated_no_text.jsonl", 1, "'text'",
+            ),
+            (
+                ["annotate", "{data}/corpus_sample.txt", "--apply-review", "review.tsv"],
+                "review.tsv", 2, "START-END",
+            ),
+        ],
+    )
+    def test_bad_record_names_file_line_and_field(
+        self, capsys, tmp_path, data_dir, monkeypatch, argv, bad_file, line, field
+    ):
+        task = {"id": "t", "task_type": "kind_match", "prompt": {}, "candidates": ["a", "b"],
+                "answer_index": 0}
+        problem = {"id": "p", "body": "b", "question": "q", "equation": "1", "answer": 1.0}
+        files = {
+            "gold_no_id.jsonl": [{"task_type": "kind_match"}],
+            "gold.jsonl": [task],
+            "preds.jsonl": [{"id": "t", "answer": 0}],
+            "preds_no_id.jsonl": [{"id": "t", "answer": 0}, {"answer": 1}],
+            "problem_no_question.jsonl": [{k: v for k, v in problem.items() if k != "question"}],
+            "problem_bad_answer.jsonl": [{**problem, "answer": "many"}],
+            "problem_list.jsonl": [list(problem)],
+            "annotated_no_text.jsonl": [{"mentions": []}],
+        }
+        for name, rows in files.items():
+            (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        (tmp_path / "review.tsv").write_text("1\t0-3\tabc\tkept:numeric\n1\t0-3\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *[a.format(data=data_dir) for a in argv])
+        assert code == 4
+        assert err.startswith(f"error: {bad_file}: line {line}: ")
+        assert field in err
+
+    def test_unit_without_keywords_exits_4(self, capsys, tmp_path, data_dir):
+        kb_file = tmp_path / "units.tsv"
+        kb_file.write_text(
+            (data_dir / "units.tsv").read_text(encoding="utf-8")
+            + "Z\t\tzunit\tzu\t\t\t\t0.5\tZKind\tA0E0L1I0M0H0T0D0\t1\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "--kb", str(kb_file), "convert", "1", "meter", "centimeter")
+        assert code == 4
+        assert out == ""
+        assert "record=Z" in err
 
     def test_malformed_json_names_file_and_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"

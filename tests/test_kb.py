@@ -109,6 +109,15 @@ class TestLoad:
         with pytest.raises(KbValidationError, match="dimension"):
             load_kb(path)
 
+    def test_unit_without_keywords_rejected(self, tmp_path):
+        path = tmp_path / "nokw.tsv"
+        path.write_text("X\t\tx\t\t\t\t | \t0.5\tLength\tA0E0L1I0M0H0T0D0\t1\n", encoding="utf-8")
+        with pytest.raises(KbValidationError, match=r"keywords.*\[record=X, field=keywords\]"):
+            load_kb(path)
+        record = make_record("Y", "Length", DimensionVector.of(L=1), 1.0, keywords=())
+        with pytest.raises(KbValidationError, match="record=Y"):
+            KnowledgeBase.from_records([record])
+
     def test_load_is_order_insensitive(self, tmp_path, data_dir):
         lines = (data_dir / "units.tsv").read_text(encoding="utf-8").splitlines()
         random.Random(7).shuffle(lines)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dimkit import mwp
 from dimkit.errors import AugmentationError, EquationError
 from dimkit.kb import KnowledgeBase, conversion_factor
 from dimkit.mwp import (
@@ -329,3 +330,44 @@ class TestAugmentDataset:
         _, records, _ = augment_dataset(problems, kb, random.Random(3), 1.0, emb=emb)
         assert records
         assert [AugmentationRecord.from_dict(r.to_dict()) for r in records] == records
+
+
+class TestMentions:
+    """Linking runs only where its result is read."""
+
+    @staticmethod
+    def count_annotations(monkeypatch, fail=False):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].id)
+            if fail:
+                raise AssertionError("annotate_problem must not run here")
+            return annotate_problem(*args, **kwargs)
+
+        monkeypatch.setattr(mwp, "annotate_problem", counted)
+        return calls
+
+    def test_question_methods_extract_no_mentions(self, pesticide, kb, emb, monkeypatch):
+        self.count_annotations(monkeypatch, fail=True)
+        augment_question_format(pesticide, kb, random.Random(0), emb)
+        augment_question_dimension(pesticide, kb, random.Random(0), emb)
+
+    @pytest.mark.parametrize("method", [augment_context_format, augment_context_dimension])
+    def test_context_methods_annotate_once(self, pesticide, kb, emb, monkeypatch, method):
+        calls = self.count_annotations(monkeypatch)
+        method(pesticide, kb, random.Random(0), emb)
+        assert calls == [pesticide.id]
+
+    @pytest.mark.parametrize("method", [augment_context_format, augment_context_dimension])
+    def test_context_methods_reuse_carried_mentions(self, pesticide, kb, emb, monkeypatch, method):
+        annotated = annotate_problem(pesticide, kb, emb)
+        self.count_annotations(monkeypatch, fail=True)
+        method(annotated, kb, random.Random(0), emb)
+
+    @pytest.mark.parametrize("method", list(mwp._METHOD_FUNCS.values()))
+    @pytest.mark.parametrize("annotate", [False, True])
+    def test_augmented_problems_carry_no_mentions(self, pesticide, kb, emb, method, annotate):
+        p = annotate_problem(pesticide, kb, emb) if annotate else pesticide
+        augmented, _ = method(p, kb, random.Random(0), emb)
+        assert augmented.mentions == ()

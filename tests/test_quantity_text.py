@@ -1,8 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus_fixture import gold_corpus, corpus_lines, planted_oracle_table, UNLINKABLE_PREDICTIONS
+from dimkit import quantity_text
+from dimkit.errors import InputError
 from dimkit.linking import Mention, link
 from dimkit.quantity_text import (
     CommandOracle,
@@ -19,7 +23,32 @@ from dimkit.quantity_text import (
     save_annotated,
     save_review,
 )
-from dimkit.util import byte_slice
+from dimkit.util import byte_slice, char_to_byte_offsets, read_lines
+
+
+def linking_every_prefix(text, kb, emb, threshold=0.5):
+    """Reference rule stage: fully link every window prefix, keep the one
+    whose best candidate has the highest mention similarity (longer on
+    ties), and take its top-ranked unit."""
+    to_byte = char_to_byte_offsets(text)
+    out = []
+    for (vstart, vend), value in extract_values(text):
+        start, window = quantity_text._unit_window(text, to_byte.index(vend))
+        best = None
+        for end in range(1, len(window) + 1):
+            prefix = window[:end].rstrip()
+            ranked = link(kb, Mention(prefix, context=text), emb, threshold)
+            if ranked:
+                key = (max(c.p_mention for c in ranked), len(prefix))
+                if best is None or key > best[0]:
+                    best = (key, prefix, ranked[0])
+        if best is None:
+            out.append(((vstart, vend), None, value, "", None, 0.0))
+            continue
+        (_, plen), prefix, top = best
+        span = (to_byte[start], to_byte[start + plen])
+        out.append(((vstart, vend), span, value, prefix, top.unit_id, top.score))
+    return out
 
 
 class TestExtractValues:
@@ -131,6 +160,32 @@ class TestExtractQuantities:
                     continue
                 ranked = link(kb, Mention(m.unit_surface, context=sentence), emb, 0.5)
                 assert ranked[0].unit_id == m.linked_unit
+
+    def test_matches_linking_every_prefix(self, kb, emb, data_dir):
+        sentences = read_lines(data_dir / "corpus_sample.txt") + corpus_lines()
+        for sentence in sentences:
+            got = [
+                (m.value_span, m.unit_span, m.value, m.unit_surface, m.linked_unit, m.link_score)
+                for m in extract_quantities(sentence, kb, emb, 0.5)
+            ]
+            assert got == linking_every_prefix(sentence, kb, emb), sentence
+
+    def test_one_link_per_linked_mention(self, kb, emb, data_dir, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].surface)
+            return link(*args, **kwargs)
+
+        monkeypatch.setattr(quantity_text, "link", counted)
+        linked = [
+            m.unit_surface
+            for sentence in read_lines(data_dir / "corpus_sample.txt")
+            for m in extract_quantities(sentence, kb, emb, 0.5)
+            if m.linked_unit is not None
+        ]
+        assert linked
+        assert calls == linked
 
     def test_gold_corpus_rule_stage(self, kb, emb):
         """Construction-derived gold spans match the rule stage exactly on
@@ -247,6 +302,15 @@ class TestAnnotateCorpus:
         spans = {(s.line_no, m.quantity_span) for s in result for m in s.mentions}
         assert flipped_reject not in spans
         assert flipped_accept in spans
+
+    @pytest.mark.parametrize(
+        "bad", ["1\t0-3", "1\t0-3\ta\tremoved\textra", "1\t0_3\ta\tremoved", "x\t0-3\ta\tremoved"]
+    )
+    def test_malformed_review_line_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "review.tsv"
+        path.write_text(f"1\t0-3\tabc\tkept:numeric\n\n{bad}\n", encoding="utf-8")
+        with pytest.raises(InputError, match=re.escape(f"{path}: line 3:")):
+            load_review(path)
 
     def test_annotated_jsonl_roundtrip(self, kb, emb, tmp_path):
         annotated, _ = annotate_corpus(corpus_lines(), kb, emb, ConstantOracle("5"), 0.5)
