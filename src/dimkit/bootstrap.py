@@ -65,22 +65,46 @@ def object_contains(obj: str, mention: str) -> bool:
 
 
 class InMemoryTripletStore:
-    """List-backed store; iteration follows input (file) order."""
+    """Immutable store, indexed once at construction; answers follow
+    input (file) order and are new lists.
+
+    Containment queries are memoized on the normalized mention, the only
+    form object_contains reads.  A miss tests each distinct raw object
+    once, after a plain substring prefilter on its normalized form (the
+    first step of object_contains, so nothing is lost).
+    """
 
     def __init__(self, triplets: Sequence[Triplet]):
-        self.triplets = list(triplets)
+        self.triplets = tuple(triplets)
+        self._by_predicate: dict[str, list[Triplet]] = {}
+        rows_of: dict[str, list[int]] = {}
+        for row, t in enumerate(self.triplets):
+            self._by_predicate.setdefault(t.predicate, []).append(t)
+            rows_of.setdefault(t.obj, []).append(row)
+        self._objects = [(obj, normalize_surface(obj), rows) for obj, rows in rows_of.items()]
+        self._containing: dict[str, tuple[Triplet, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.triplets)
 
     def triplets_with_predicate(self, predicate: str) -> list[Triplet]:
-        return [t for t in self.triplets if t.predicate == predicate]
+        return list(self._by_predicate.get(predicate, ()))
 
     def triplets_with_object_containing(self, mention: str) -> list[Triplet]:
-        return [t for t in self.triplets if object_contains(t.obj, mention)]
+        needle = normalize_surface(mention)
+        hit = self._containing.get(needle)
+        if hit is None:
+            rows = sorted(
+                row
+                for obj, normalized, obj_rows in self._objects
+                if needle in normalized and object_contains(obj, mention)
+                for row in obj_rows
+            )
+            hit = self._containing[needle] = tuple(self.triplets[row] for row in rows)
+        return list(hit)
 
     def all_predicates(self) -> list[str]:
-        return sorted({t.predicate for t in self.triplets})
+        return sorted(self._by_predicate)
 
 
 def load_triplets(path: str | Path) -> InMemoryTripletStore:

@@ -21,12 +21,15 @@ from __future__ import annotations
 import re
 import zlib
 from pathlib import Path
-from typing import Protocol
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol
 
 from .errors import InputError
 from .util import read_lines
+
+# numpy is imported where vectors are built or compared, so commands that
+# never embed (convert, dim, score) do not pay for it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Latin/digit runs stay whole; each CJK character is its own token, which
 # keeps Chinese keyword matching exact without a segmenter.
@@ -46,6 +49,8 @@ class EmbeddingProvider(Protocol):
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    import numpy as np
+
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
         return 0.0
@@ -72,6 +77,8 @@ class TrigramHashEmbedding:
         hit = self._cache.get(token)
         if hit is not None:
             return hit
+        import numpy as np
+
         padded = f"^{token}$"
         v = np.zeros(self.dim, dtype=np.float64)
         for i in range(max(1, len(padded) - 2)):
@@ -90,6 +97,8 @@ class WordVectorEmbedding:
     """File-backed provider over a text vector file."""
 
     def __init__(self, path: str | Path):
+        import numpy as np
+
         lines = read_lines(path)
         lineno = 1
         self._table: dict[str, np.ndarray] = {}

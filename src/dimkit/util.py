@@ -21,13 +21,15 @@ _ASCII_UPPER = str.maketrans({chr(c): chr(c + 32) for c in range(ord("A"), ord("
 def normalize_surface(text: str) -> str:
     """Canonical form used for every surface lookup and index build.
 
-    Trim, collapse internal whitespace to single spaces, fold ASCII
-    letters to lowercase, compose to NFC.  Applied identically when
-    building indexes and when querying them.
+    Compose to NFC (U+212A KELVIN SIGN becomes "K"), trim, collapse
+    internal whitespace to single spaces, fold ASCII letters to
+    lowercase, and compose again ("W" + U+030A folds to "w" + U+030A,
+    which composes to U+1E98).  The result is a fixed point, applied
+    identically when building indexes and when querying them.
     """
     text = unicodedata.normalize("NFC", text)
     text = " ".join(text.split())
-    return text.translate(_ASCII_UPPER)
+    return unicodedata.normalize("NFC", text.translate(_ASCII_UPPER))
 
 
 def _ascii_alnum(ch: str) -> bool:
@@ -112,8 +114,14 @@ def char_to_byte_offsets(text: str) -> list[int]:
 
 
 def read_lines(path: str | Path) -> list[str]:
-    """Lines of a UTF-8 text file, without line endings."""
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    """Lines of a UTF-8 text file, without line endings.
+
+    Bytes that are not UTF-8 raise InputError naming the file and the
+    byte offset."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 at byte {exc.start} ({exc.reason})") from None
 
 
 class _Fields(dict):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimkit.bootstrap import (
     BootstrapConfig,
@@ -104,6 +106,91 @@ class TestStore:
         path.write_text("a\tb\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_triplets(path)
+
+
+# Random stores for the index-vs-scan test: few distinct objects, so they
+# repeat; mixed case, CJK, degree signs, glued one-letter ASCII symbols and
+# runs of whitespace, queried with mentions that are not normalized.
+_OBJECT = st.text(alphabet="mMtTkgK 2.5°C千克米/\t\u3000", max_size=10)
+_PREDICATES = ("height", "Height", "重量", "t")
+
+
+@st.composite
+def _store_and_mentions(draw):
+    pool = draw(st.lists(_OBJECT, min_size=1, max_size=6))
+    triplets = draw(
+        st.lists(
+            st.builds(
+                Triplet, st.sampled_from("st"), st.sampled_from(_PREDICATES), st.sampled_from(pool)
+            ),
+            max_size=30,
+        )
+    )
+    slices = st.tuples(st.sampled_from(pool), st.integers(0, 10), st.integers(0, 10))
+    mentions = draw(
+        st.lists(
+            st.one_of(
+                _OBJECT,
+                st.sampled_from(["m", "M", " KG ", "t", "°C", "千克", "kK"]),
+                slices.map(lambda s: s[0][s[1] : s[2]]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return triplets, mentions
+
+
+def synthesized_store(size=2000, seed=3):
+    """`size` triplets with fresh subjects over 50 distinct objects: ten
+    predicates whose share of non-quantity objects rises from 0 to 45%."""
+    rng = random.Random(seed)
+    surfaces = ["cm", "meters", "kg", "千克", "km", "hours", "minutes", "°C", "km/h", "ml"]
+    quantities = [f"{rng.randint(1, 900)} {surfaces[i % len(surfaces)]}" for i in range(40)]
+    others = ["red", "unknown", "Model T", "ABC-12", "Paris", "tall", "yes", "蓝色", "n/a", "M"]
+    triplets = []
+    for i in range(size):
+        k = rng.randrange(10)
+        pool = others if rng.random() < k * 0.05 else quantities[k * 4 : k * 4 + 12]
+        triplets.append(Triplet(f"s{i}", f"p{k}", rng.choice(pool)))
+    return InMemoryTripletStore(triplets)
+
+
+class TestStoreIndex:
+    @given(_store_and_mentions())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scan(self, case):
+        triplets, mentions = case
+        store = InMemoryTripletStore(triplets)
+        for mention in mentions + mentions:  # the second pass reads the memo
+            expected = [t for t in triplets if object_contains(t.obj, mention)]
+            assert store.triplets_with_object_containing(mention) == expected
+        for predicate in _PREDICATES:
+            expected = [t for t in triplets if t.predicate == predicate]
+            assert store.triplets_with_predicate(predicate) == expected
+        assert store.all_predicates() == sorted({t.predicate for t in triplets})
+
+    def test_returned_lists_are_fresh(self):
+        triplets = [Triplet("a", "height", "2 m"), Triplet("b", "height", "3 m")]
+        store = InMemoryTripletStore(triplets)
+        for query, key in (
+            (store.triplets_with_object_containing, "m"),
+            (store.triplets_with_predicate, "height"),
+        ):
+            query(key).clear()
+            query(key).append(Triplet("c", "x", "y"))
+            assert query(key) == triplets
+
+    def test_bootstrap_matches_oracle_on_synthesized_store(self, kb, emb):
+        store = synthesized_store()
+        assert len(store) == 2000 and len({t.obj for t in store.triplets}) == 50
+        config = BootstrapConfig(tau=0.8, iterations=5, seed_unit_count=10)
+        result = bootstrap_retrieve(store, kb, config, emb, 0.5)
+        o_triplets, o_predicates, o_mentions = oracle_bootstrap(store, kb, config, emb, 0.5)
+        assert set(result.triplets) == o_triplets
+        assert set(result.predicates) == o_predicates
+        assert set(result.mentions) == o_mentions
+        assert 0 < len(result.predicates) < 10
 
 
 class TestBootstrap:

@@ -1,9 +1,13 @@
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dimkit
 from dimkit.cli import main
 
 
@@ -277,6 +281,25 @@ class TestInputErrors:
         assert err.startswith(f"error: {bad_file}: line {line}: ")
         assert field in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bootstrap", "{bad}", "-o", "{out}"],
+            ["annotate", "{bad}", "-o", "{out}"],
+            ["--kb", "{bad}", "gen-tasks", "kind_match", "-n", "2", "-o", "{out}"],
+            ["augment", "{bad}", "-o", "{out}"],
+        ],
+    )
+    def test_non_utf8_input_exits_4(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"ok line\nbad \xff byte\n")
+        out = tmp_path / "out.json"
+        code, stdout, err = run(capsys, *[a.format(bad=bad, out=out) for a in argv])
+        assert code == 4
+        assert err == f"error: {bad}: not UTF-8 at byte 12 (invalid start byte)\n"
+        assert stdout == ""
+        assert not out.exists()
+
     def test_unit_without_keywords_exits_4(self, capsys, tmp_path, data_dir):
         kb_file = tmp_path / "units.tsv"
         kb_file.write_text(
@@ -429,3 +452,22 @@ class TestUsageAndEnvironment:
     def test_unknown_embedder_spec(self, capsys):
         code, _, err = run(capsys, "--embedder", "bogus", "link", "kg")
         assert code == 4
+
+
+class TestStartup:
+    @pytest.mark.parametrize(
+        "argv", [["convert", "1", "meter", "centimeter"], ["gen-tasks", "kind_match", "-n", "5"]]
+    )
+    def test_command_without_embedding_skips_numpy(self, argv):
+        script = (
+            "import sys\n"
+            "from dimkit.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(dimkit.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.stderr == "0 False\n"
