@@ -145,7 +145,7 @@ class BootstrapResult:
 def seed_mentions(kb: KnowledgeBase, count: int) -> frozenset[str]:
     """Surface forms of the top-`count` units by frequency."""
     top = sorted(kb.records.values(), key=lambda r: (-r.frequency, r.unit_id))[:count]
-    return frozenset(normalize_surface(f) for r in top for f in r.surface_forms())
+    return frozenset(f for r in top for f in r.normalized_forms)
 
 
 def bootstrap_retrieve(
@@ -218,12 +218,8 @@ SENTENCE_TEMPLATES = (
 )
 
 
-def render_triplet_sentence(
-    triplet: Triplet,
-    templates: Sequence[str] = SENTENCE_TEMPLATES,
-    rng: random.Random | None = None,
-) -> str:
+def render_triplet_sentence(triplet: Triplet, rng: random.Random | None = None) -> str:
     """Fill one template; the object appears verbatim in the output."""
     rng = rng or random.Random(0)
-    template = templates[rng.randrange(len(templates))]
+    template = SENTENCE_TEMPLATES[rng.randrange(len(SENTENCE_TEMPLATES))]
     return template.format(subject=triplet.subject, predicate=triplet.predicate, obj=triplet.obj)

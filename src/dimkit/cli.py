@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shlex
 import sys
@@ -109,6 +110,8 @@ def _resolve_unit(kb, emb, surface: str, threshold: float) -> str:
 
 
 def cmd_convert(args) -> int:
+    if not math.isfinite(args.value):
+        raise InputError(f"value must be finite, got {args.value}")
     kb = _load_kb(args)
     emb = _embedder(args.embedder)
     u1 = _resolve_unit(kb, emb, args.from_unit, args.threshold)
@@ -118,11 +121,16 @@ def cmd_convert(args) -> int:
     except IncomparableUnitsError as exc:
         print(f"{format_symbolic(exc.dim_a)} vs {format_symbolic(exc.dim_b)}")
         return EXIT_INCOMPARABLE
-    print(f"{format_number(args.value * beta)} {args.to_unit}")
+    result = args.value * beta
+    if not math.isfinite(result):
+        raise InputError(f"{args.value} {args.from_unit} overflows a float in {args.to_unit}")
+    print(f"{format_number(result)} {args.to_unit}")
     return EXIT_OK
 
 
 def cmd_link(args) -> int:
+    if args.top_k < 1:
+        raise InputError(f"--top-k must be >= 1, got {args.top_k}")
     kb = _load_kb(args)
     emb = _embedder(args.embedder)
     ranked = link(kb, Mention(args.surface, context=args.context), emb, args.threshold)

@@ -84,6 +84,10 @@ class AffineConversionError(DimkitError):
     Celsius style); only multiplicative conversions are supported."""
 
 
+class ConversionRangeError(DimkitError):
+    """A conversion factor that over- or underflows the float range."""
+
+
 class UnitResolutionError(DimkitError):
     """A surface form could not be resolved to any unit."""
 

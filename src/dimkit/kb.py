@@ -9,23 +9,32 @@ the schema's field order:
 List fields (symbol, alias, keywords) use '|' as the internal separator;
 the dimension field is the encoded string of :mod:`dimkit.dimension`;
 an empty field is the empty string, but keywords must be non-empty.
-The optional 12th column is the affine offset (0 when absent); only
-degree-Celsius-style units set it.
+conversion_val must be finite and > 0. The optional 12th column is the
+affine offset (finite, 0 when absent); only degree-Celsius-style units
+set it.
 
 The frequency sidecar file is ``unit_id TAB freq_gt TAB freq_hs TAB
 freq_cf`` with strictly positive raw scores.
+
+:meth:`KnowledgeBase.from_records` derives, once, the unit facts other
+modules read: indexes from a normalized surface form, an encoded
+dimension string or a kind id to sorted unit ids (``surface_index``,
+``dimension_index``, ``kind_index``), and each record's
+``normalized_forms`` in ``surface_forms()`` order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .dimension import DimensionVector, format_dimension, is_comparable, parse_dimension
 from .errors import (
     AffineConversionError,
+    ConversionRangeError,
     DegenerateScoreError,
     FrequencyDomainError,
     IncomparableUnitsError,
@@ -62,13 +71,17 @@ class UnitRecord:
         forms.extend(self.alias)
         return tuple(f for f in forms if f)
 
+    @cached_property
+    def normalized_forms(self) -> tuple[str, ...]:
+        """normalize_surface of each surface form, in the same order."""
+        return tuple(normalize_surface(f) for f in self.surface_forms())
+
 
 @dataclass(frozen=True)
 class QuantityKind:
     """A family of units measuring one physical concept."""
 
     kind_id: str
-    name: str
     dimension: DimensionVector
     standard_unit: str
 
@@ -102,8 +115,9 @@ class KnowledgeBase:
 
     records: dict[str, UnitRecord]
     kinds: dict[str, QuantityKind]
-    surface_index: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    dimension_index: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    surface_index: dict[str, tuple[str, ...]]
+    dimension_index: dict[str, tuple[str, ...]]
+    kind_index: dict[str, tuple[str, ...]]
     match_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -123,17 +137,19 @@ class KnowledgeBase:
 
     def units_of_kind(self, kind_id: str) -> tuple[str, ...]:
         self.kind(kind_id)
-        return tuple(
-            uid for uid, r in sorted(self.records.items()) if r.quantity_kind == kind_id
-        )
+        return self.kind_index[kind_id]
 
     @classmethod
     def from_records(cls, records: Iterable[UnitRecord]) -> "KnowledgeBase":
-        """Validate every type invariant and build both indexes."""
+        """Validate every type invariant and build the indexes."""
         by_id: dict[str, UnitRecord] = {}
+        by_kind: dict[str, list[UnitRecord]] = {}
         for rec in records:
             if rec.unit_id in by_id:
                 raise KbValidationError("duplicate unit_id", record_id=rec.unit_id, field="unit_id")
+            for name in ("conversion_val", "affine_offset"):
+                if not math.isfinite(getattr(rec, name)):
+                    raise KbValidationError(f"{name} must be finite", record_id=rec.unit_id, field=name)
             if rec.conversion_val <= 0:
                 raise KbValidationError(
                     "conversion_val must be > 0", record_id=rec.unit_id, field="conversion_val"
@@ -149,10 +165,10 @@ class KnowledgeBase:
                     "keywords must be non-empty", record_id=rec.unit_id, field="keywords"
                 )
             by_id[rec.unit_id] = rec
+            by_kind.setdefault(rec.quantity_kind, []).append(rec)
 
         kinds: dict[str, QuantityKind] = {}
-        for kind_id in sorted({r.quantity_kind for r in by_id.values()}):
-            members = [r for r in by_id.values() if r.quantity_kind == kind_id]
+        for kind_id, members in sorted(by_kind.items()):
             dims = {format_dimension(r.dimension) for r in members}
             if len(dims) > 1:
                 bad = sorted(m.unit_id for m in members)
@@ -175,7 +191,6 @@ class KnowledgeBase:
                 )
             kinds[kind_id] = QuantityKind(
                 kind_id=kind_id,
-                name=kind_id,
                 dimension=members[0].dimension,
                 standard_unit=standards[0].unit_id,
             )
@@ -183,8 +198,8 @@ class KnowledgeBase:
         surface: dict[str, set[str]] = {}
         dimension: dict[str, set[str]] = {}
         for rec in by_id.values():
-            for form in rec.surface_forms():
-                surface.setdefault(normalize_surface(form), set()).add(rec.unit_id)
+            for form in rec.normalized_forms:
+                surface.setdefault(form, set()).add(rec.unit_id)
             dimension.setdefault(format_dimension(rec.dimension), set()).add(rec.unit_id)
 
         return cls(
@@ -192,6 +207,7 @@ class KnowledgeBase:
             kinds=kinds,
             surface_index={k: tuple(sorted(v)) for k, v in sorted(surface.items())},
             dimension_index={k: tuple(sorted(v)) for k, v in sorted(dimension.items())},
+            kind_index={k: tuple(sorted(m.unit_id for m in by_kind[k])) for k in kinds},
         )
 
 
@@ -296,8 +312,6 @@ def compute_frequency(
 def kind_frequency(kb: KnowledgeBase, kind_id: str) -> float:
     """Mean frequency of the kind's top five units (all units if fewer)."""
     members = kb.units_of_kind(kind_id)
-    if not members:
-        raise UnknownKindError(f"kind {kind_id!r} has no units")
     top = sorted((kb.records[u].frequency for u in members), reverse=True)[:5]
     return sum(top) / len(top)
 
@@ -307,7 +321,8 @@ def conversion_factor(kb: KnowledgeBase, u1: str, u2: str) -> float:
     equals q * beta expressed in u2.
 
     This is the Dimension Law enforcement point: incomparable pairs
-    raise, as do pairs involving affine units.
+    raise, as do pairs involving affine units and pairs whose factor
+    over- or underflows a float.
     """
     a, b = kb.unit(u1), kb.unit(u2)
     if not is_comparable(a.dimension, b.dimension):
@@ -317,7 +332,10 @@ def conversion_factor(kb: KnowledgeBase, u1: str, u2: str) -> float:
             f"affine conversion unsupported: {u1} offset {a.affine_offset}, "
             f"{u2} offset {b.affine_offset}"
         )
-    return a.conversion_val / b.conversion_val
+    beta = a.conversion_val / b.conversion_val
+    if beta == 0.0 or math.isinf(beta):
+        raise ConversionRangeError(f"conversion factor {u1} -> {u2} leaves the float range")
+    return beta
 
 
 def lookup_surface(kb: KnowledgeBase, form: str) -> frozenset[str]:

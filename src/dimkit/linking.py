@@ -16,7 +16,6 @@ returned sorted by descending score with deterministic tie-breaking.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from .embeddings import EmbeddingProvider, cosine
 from .errors import InputError, LinkingConfigError
@@ -79,16 +78,11 @@ def surface_similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein(na, nb) / longest
 
 
-@lru_cache(maxsize=65536)
-def _normalized_forms(record: UnitRecord) -> tuple[str, ...]:
-    return tuple(normalize_surface(f) for f in record.surface_forms())
-
-
 def mention_similarity(surface: str, record: UnitRecord) -> float:
     """Best similarity over all of the record's surface forms."""
     ns = normalize_surface(surface)
     best = 0.0
-    for nf in _normalized_forms(record):
+    for nf in record.normalized_forms:
         longest = max(len(ns), len(nf))
         if longest == 0:
             return 1.0

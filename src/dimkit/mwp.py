@@ -242,12 +242,15 @@ class UnitMention:
     unit_id: str
 
 
+#: Longest unit surface form, in characters, that find_unit_mentions tries.
+_MAX_FORM_CHARS = 24
+
+
 def find_unit_mentions(
     text: str,
     kb: KnowledgeBase,
     emb: EmbeddingProvider,
     threshold: float = DEFAULT_THRESHOLD,
-    max_len: int = 24,
 ) -> list[UnitMention]:
     """Exact-surface scan for unit mentions not anchored to a value,
     e.g. the asked unit in "多少千克？".  Longest match wins at each
@@ -258,7 +261,7 @@ def find_unit_mentions(
     i = 0
     while i < len(text):
         hit = None
-        for length in range(min(max_len, len(text) - i), 0, -1):
+        for length in range(min(_MAX_FORM_CHARS, len(text) - i), 0, -1):
             candidate = text[i : i + length]
             if candidate != candidate.strip():
                 continue
@@ -283,10 +286,10 @@ def find_unit_mentions(
 
 def _alternative_form(p, kb, rng, unit_id: str, current_surface: str) -> str:
     """A random other surface form of the unit, by normalized form."""
+    record = kb.unit(unit_id)
     seen = {normalize_surface(current_surface)}
     forms = []
-    for form in kb.unit(unit_id).surface_forms():
-        norm = normalize_surface(form)
+    for form, norm in zip(record.surface_forms(), record.normalized_forms):
         if norm not in seen:
             seen.add(norm)
             forms.append(form)
@@ -557,11 +560,10 @@ def augment_dataset(
 # Serialization
 
 
-def load_problems(path: str | Path, check: bool = True) -> list[MwpProblem]:
+def load_problems(path: str | Path) -> list[MwpProblem]:
     problems = read_records(path, MwpProblem.from_dict)
-    if check:
-        for p in problems:
-            p.check()
+    for p in problems:
+        p.check()
     return problems
 
 

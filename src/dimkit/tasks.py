@@ -12,10 +12,11 @@ Rationales follow the delimited reasoning/answer shape
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .dimension import DimensionVector, format_symbolic, is_comparable
 from .errors import DimensionRangeError, GenerationError
@@ -61,17 +62,8 @@ class TaskInstance:
         )
 
 
-def _rationale(reasoning: str, answer: str) -> str:
-    return f"<bos> {reasoning} <sep> {answer} <eos>"
-
-
 def _label(kb: KnowledgeBase, unit_id: str) -> str:
     return kb.records[unit_id].label_en or unit_id
-
-
-def _instance_rngs(rng: random.Random, n: int) -> list[tuple[int, random.Random]]:
-    seeds = [rng.getrandbits(32) for _ in range(n)]
-    return [(s, random.Random(s)) for s in seeds]
 
 
 def _distractors_by_dimension(
@@ -82,43 +74,44 @@ def _distractors_by_dimension(
     exclude: set[str] = frozenset(),
 ) -> list[str]:
     """k distinct units whose dimension differs from `avoid`."""
-    pool = sorted(
-        uid
-        for uid, rec in kb.records.items()
-        if uid not in exclude and not is_comparable(rec.dimension, avoid)
-    )
+    same = units_of_dimension(kb, avoid)
+    pool = [uid for uid in kb.records if uid not in same and uid not in exclude]
     if len(pool) < k:
         raise GenerationError(f"need {k} distractors with dimension != {avoid}, have {len(pool)}")
     return rng.sample(pool, k)
 
 
-def _finish(
+def _instances(
     kb: KnowledgeBase,
     task_type: str,
-    index: int,
-    seed: int,
     rng: random.Random,
-    prompt: dict,
-    correct: str,
-    distractors: list[str],
-    reasoning: str,
-    answer_text: str,
-) -> TaskInstance:
-    candidates = [correct, *distractors]
-    if len(set(candidates)) != len(candidates):
-        raise GenerationError(f"candidates not distinct: {candidates}")
-    rng.shuffle(candidates)
-    instance = TaskInstance(
-        id=f"{task_type}-{index:05d}",
-        task_type=task_type,
-        prompt=prompt,
-        candidates=tuple(candidates),
-        answer_index=candidates.index(correct),
-        rationale=_rationale(reasoning, answer_text),
-        seed=seed,
-    )
-    verify_instance(kb, instance)
-    return instance
+    n: int,
+    draw: Callable[[int, random.Random], tuple[dict, str, list[str], str, str]],
+) -> list[TaskInstance]:
+    """n verified instances; instance i is ``draw(i, irng) -> (prompt, correct,
+    distractors, reasoning, answer_text)`` on an RNG seeded with the i-th of
+    n sub-seeds drawn up front, which then shuffles the candidates."""
+    seeds = [rng.getrandbits(32) for _ in range(n)]
+    out = []
+    for i, seed in enumerate(seeds):
+        irng = random.Random(seed)
+        prompt, correct, distractors, reasoning, answer_text = draw(i, irng)
+        candidates = [correct, *distractors]
+        if len(set(candidates)) != len(candidates):
+            raise GenerationError(f"candidates not distinct: {candidates}")
+        irng.shuffle(candidates)
+        instance = TaskInstance(
+            id=f"{task_type}-{i:05d}",
+            task_type=task_type,
+            prompt=prompt,
+            candidates=tuple(candidates),
+            answer_index=candidates.index(correct),
+            rationale=f"<bos> {reasoning} <sep> {answer_text} <eos>",
+            seed=seed,
+        )
+        verify_instance(kb, instance)
+        out.append(instance)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +206,11 @@ def gen_kind_match(
     kinds = sorted(kb.kinds)
     if len(kinds) < 4:
         raise GenerationError(f"need >= 4 kinds, KB has {len(kinds)}")
-    out = []
-    for i, (seed, irng) in enumerate(_instance_rngs(rng, n)):
+
+    def draw(i, irng):
         kind_id = irng.choice(kinds)
-        kind = kb.kinds[kind_id]
-        correct = irng.choice(sorted(kb.units_of_kind(kind_id)))
-        distractors = _distractors_by_dimension(kb, irng, kind.dimension, m - 1)
+        correct = irng.choice(kb.units_of_kind(kind_id))
+        distractors = _distractors_by_dimension(kb, irng, kb.kinds[kind_id].dimension, m - 1)
         reasoning = (
             f"{_label(kb, correct)} measures {kind_id}; "
             + "; ".join(
@@ -227,26 +219,22 @@ def gen_kind_match(
             + "."
         )
         prompt = {"kind": kind_id, "question": f"Which unit measures {kind_id}?"}
-        out.append(
-            _finish(kb, "kind_match", i, seed, irng, prompt, correct, distractors,
-                    reasoning, _label(kb, correct))
-        )
-    return out
+        return prompt, correct, distractors, reasoning, _label(kb, correct)
+
+    return _instances(kb, "kind_match", rng, n, draw)
 
 
 def gen_comparable(
     kb: KnowledgeBase, rng: random.Random, n: int, m: int = DEFAULT_CANDIDATES
 ) -> list[TaskInstance]:
     """Anchor unit given; exactly one candidate shares its dimension."""
-    anchors = sorted(
-        uid
-        for uid, rec in kb.records.items()
-        if len(units_of_dimension(kb, rec.dimension)) >= 2
-    )
+    anchors = [
+        uid for uid, rec in kb.records.items() if len(units_of_dimension(kb, rec.dimension)) >= 2
+    ]
     if not anchors or len(kb.dimension_index) < 4:
         raise GenerationError("KB lacks dimension diversity for comparable tasks")
-    out = []
-    for i, (seed, irng) in enumerate(_instance_rngs(rng, n)):
+
+    def draw(i, irng):
         anchor = irng.choice(anchors)
         dim = kb.unit(anchor).dimension
         correct = irng.choice(sorted(units_of_dimension(kb, dim) - {anchor}))
@@ -260,11 +248,9 @@ def gen_comparable(
             "anchor": anchor,
             "question": f"Which unit is comparable with {_label(kb, anchor)}?",
         }
-        out.append(
-            _finish(kb, "comparable", i, seed, irng, prompt, correct, distractors,
-                    reasoning, _label(kb, correct))
-        )
-    return out
+        return prompt, correct, distractors, reasoning, _label(kb, correct)
+
+    return _instances(kb, "comparable", rng, n, draw)
 
 
 def gen_dimension_prediction(
@@ -284,8 +270,8 @@ def gen_dimension_prediction(
     ]
     if not pool:
         raise GenerationError("no annotated sentences with linked mentions")
-    out = []
-    for i, (seed, irng) in enumerate(_instance_rngs(rng, n)):
+
+    def draw(i, irng):
         sent, mention = pool[irng.randrange(len(pool))]
         source = mention.linked_unit
         dim = kb.unit(source).dimension
@@ -298,11 +284,9 @@ def gen_dimension_prediction(
             f"{_label(kb, correct)} has dimension {sym}."
         )
         prompt = {"masked_text": masked, "source_unit": source}
-        out.append(
-            _finish(kb, "dimension_prediction", i, seed, irng, prompt, correct, distractors,
-                    reasoning, _label(kb, correct))
-        )
-    return out
+        return prompt, correct, distractors, reasoning, _label(kb, correct)
+
+    return _instances(kb, "dimension_prediction", rng, n, draw)
 
 
 def gen_dimension_arithmetic(
@@ -318,11 +302,11 @@ def gen_dimension_arithmetic(
     """
     if max_terms < 2:
         raise GenerationError("max_terms must be >= 2")
-    all_units = sorted(kb.records)
+    all_units = list(kb.records)
     if not all_units:
         raise GenerationError("empty KB")
-    out = []
-    for i, (seed, irng) in enumerate(_instance_rngs(rng, n)):
+
+    def draw(i, irng):
         for _ in range(_RESAMPLE_BUDGET):
             k = irng.randint(2, max_terms)
             terms = [irng.choice(all_units) for _ in range(k)]
@@ -356,11 +340,9 @@ def gen_dimension_arithmetic(
             steps.append(f"{op} dim({_label(kb, term)}) -> {format_symbolic(prefix_dim)}")
         reasoning = "; ".join(steps) + f"; {_label(kb, correct)} has dimension {format_symbolic(dim)}."
         prompt = {"expression": expression, "terms": terms, "ops": ops}
-        out.append(
-            _finish(kb, "dimension_arithmetic", i, seed, irng, prompt, correct, distractors,
-                    reasoning, _label(kb, correct))
-        )
-    return out
+        return prompt, correct, distractors, reasoning, _label(kb, correct)
+
+    return _instances(kb, "dimension_arithmetic", rng, n, draw)
 
 
 def gen_magnitude_comparison(
@@ -371,14 +353,14 @@ def gen_magnitude_comparison(
     Groups with a tie at the maximum conversion value are rejected and
     resampled, preserving the single-answer invariant.
     """
-    eligible = sorted(d for d, units in kb.dimension_index.items() if len(units) >= m)
+    eligible = [d for d, units in kb.dimension_index.items() if len(units) >= m]
     if not eligible:
         raise GenerationError(f"no dimension has >= {m} units")
-    out = []
-    for i, (seed, irng) in enumerate(_instance_rngs(rng, n)):
+
+    def draw(i, irng):
         for _ in range(_RESAMPLE_BUDGET):
             dim_key = irng.choice(eligible)
-            group = irng.sample(sorted(kb.dimension_index[dim_key]), m)
+            group = irng.sample(kb.dimension_index[dim_key], m)
             values = [kb.unit(u).conversion_val for u in group]
             peak = max(values)
             if values.count(peak) != 1:
@@ -394,11 +376,9 @@ def gen_magnitude_comparison(
             + f"; {_label(kb, correct)} is largest."
         )
         prompt = {"question": "Which unit has the largest magnitude?"}
-        out.append(
-            _finish(kb, "magnitude_comparison", i, seed, irng, prompt, correct, others,
-                    reasoning, _label(kb, correct))
-        )
-    return out
+        return prompt, correct, others, reasoning, _label(kb, correct)
+
+    return _instances(kb, "magnitude_comparison", rng, n, draw)
 
 
 def gen_unit_conversion(
@@ -408,20 +388,17 @@ def gen_unit_conversion(
     literals.  Distractors are plausible confusions: the reciprocal,
     decade shifts, and the factor of a different same-dimension pair.
     """
-    pairs_pool = sorted(
-        d
+    linear = {
+        d: [u for u in units if kb.unit(u).affine_offset == 0.0]
         for d, units in kb.dimension_index.items()
-        if len([u for u in units if kb.unit(u).affine_offset == 0.0]) >= 2
-    )
+    }
+    pairs_pool = [d for d, units in linear.items() if len(units) >= 2]
     if not pairs_pool:
         raise GenerationError("no comparable non-affine pair in KB")
-    out = []
-    for i, (seed, irng) in enumerate(_instance_rngs(rng, n)):
+
+    def draw(i, irng):
         for _ in range(_RESAMPLE_BUDGET):
-            dim_key = irng.choice(pairs_pool)
-            units = sorted(
-                u for u in kb.dimension_index[dim_key] if kb.unit(u).affine_offset == 0.0
-            )
+            units = linear[irng.choice(pairs_pool)]
             u1, u2 = irng.sample(units, 2)
             beta = conversion_factor(kb, u1, u2)
             if beta == 1.0:
@@ -438,7 +415,7 @@ def gen_unit_conversion(
             distractor_values.append(conversion_factor(kb, irng.choice(alt), u2))
         chosen: list[float] = []
         irng.shuffle(distractor_values)
-        for v in distractor_values:
+        for v in filter(math.isfinite, distractor_values):
             if not _same_factor(v, beta) and v not in chosen and len(chosen) < m - 1:
                 chosen.append(v)
         if len(chosen) < m - 1:
@@ -454,11 +431,9 @@ def gen_unit_conversion(
             "to_unit": u2,
             "question": f"1 {_label(kb, u1)} = ? {_label(kb, u2)}",
         }
-        out.append(
-            _finish(kb, "unit_conversion", i, seed, irng, prompt, gold,
-                    [format_number(v) for v in chosen], reasoning, gold)
-        )
-    return out
+        return prompt, gold, [format_number(v) for v in chosen], reasoning, gold
+
+    return _instances(kb, "unit_conversion", rng, n, draw)
 
 
 # ---------------------------------------------------------------------------

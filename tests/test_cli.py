@@ -228,14 +228,39 @@ class TestInputErrors:
             ["score", "{tmp}/bad.jsonl", "{tmp}/bad.jsonl"],
             ["--threshold", "0", "convert", "1", "meter", "centimeter"],
             ["--threshold", "1.5", "augment", "{data}/mwp_sample.jsonl", "--methods", "question_format"],
+            ["link", "meter", "--top-k", "0"],
+            ["link", "meter", "--top-k", "-1"],
+            ["convert", "nan", "meter", "centimeter"],
+            ["convert", "inf", "meter", "centimeter"],
+            ["convert", "1e308", "kilometer", "millimeter"],
+            ["--kb", "{tmp}/nan.tsv", "convert", "1", "meter", "centimeter"],
+            ["--kb", "{tmp}/inf.tsv", "convert", "1", "meter", "centimeter"],
+            ["--kb", "{tmp}/1e309.tsv", "convert", "1", "meter", "centimeter"],
+            ["--kb", "{tmp}/wide.tsv", "convert", "1", "kilometer", "millimeter"],
+            ["--kb", "{tmp}/wide.tsv", "gen-tasks", "unit_conversion", "-n", "2000"],
         ],
     )
     def test_exit_4_without_traceback(self, capsys, tmp_path, data_dir, argv):
         (tmp_path / "vectors.txt").write_text("2 3\nwater 1.0 x 0.0\n", encoding="utf-8")
         (tmp_path / "triplets.tsv").write_text("a\tb\n", encoding="utf-8")
         (tmp_path / "bad.jsonl").write_text('{"id": "a"}\n{"id": 1\n', encoding="utf-8")
-        code, _, err = run(capsys, *[a.format(data=data_dir, tmp=tmp_path) for a in argv])
+        # KB copies with conversion values a float cannot carry through a
+        # conversion: non-finite ones, and a finite pair whose ratio overflows
+        kb_lines = (data_dir / "units.tsv").read_text(encoding="utf-8").splitlines()
+        variants = {
+            "nan.tsv": {"CentiM": "nan"},
+            "inf.tsv": {"CentiM": "inf"},
+            "1e309.tsv": {"CentiM": "1e309"},
+            "wide.tsv": {"KiloM": "1e200", "MilliM": "1e-200"},
+        }
+        for name, values in variants.items():
+            rows = [line.split("\t") for line in kb_lines]
+            for cols in rows:
+                cols[10] = values.get(cols[0], cols[10])
+            (tmp_path / name).write_text("".join("\t".join(c) + "\n" for c in rows), encoding="utf-8")
+        code, out, err = run(capsys, *[a.format(data=data_dir, tmp=tmp_path) for a in argv])
         assert code == 4
+        assert out == ""
         assert err.startswith("error: ")
 
     @pytest.mark.parametrize(

@@ -2,12 +2,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dimkit.dimension import DimensionVector, format_dimension, parse_dimension
 from dimkit.errors import (
     AffineConversionError,
+    ConversionRangeError,
     DegenerateScoreError,
     FrequencyDomainError,
     IncomparableUnitsError,
@@ -26,6 +27,7 @@ from dimkit.kb import (
     lookup_surface,
     units_of_dimension,
 )
+from dimkit.util import normalize_surface
 
 
 def make_record(unit_id, kind, dim, cv, freq=0.5, **kwargs):
@@ -47,6 +49,42 @@ def make_record(unit_id, kind, dim, cv, freq=0.5, **kwargs):
 
 LEN = DimensionVector.of(L=1)
 MASS = DimensionVector.of(M=1)
+
+# ---------------------------------------------------------------------------
+# Random small KBs for the brute-force tests here and in test_tasks.py.
+# Surface forms collide under normalization, conversion values range over
+# all positive finite floats (their ratios may overflow), and records
+# arrive in a random order.
+
+FUZZ_DIMS = (
+    LEN, MASS, DimensionVector.of(L=1, T=-1), DimensionVector.of(T=-1),
+    DimensionVector.of(L=2), DimensionVector.of(),
+)
+_FORMS = st.sampled_from(["m", "M", "ｍ", " m ", "米", "kg", "KG", "千克", "s", "sec", "K", "°C", ""])
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def small_kbs(draw):
+    """A KnowledgeBase built by from_records; drawings it rejects are skipped."""
+    records = []
+    for k in range(draw(st.integers(1, 6))):
+        dim = draw(st.sampled_from(FUZZ_DIMS))
+        for j in range(draw(st.integers(1, 5))):
+            records.append(make_record(
+                f"K{k}U{j}", f"Kind{k}", dim,
+                1.0 if j == 0 else draw(positive_floats),
+                freq=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+                label_en=draw(_FORMS),
+                label_zh=draw(_FORMS),
+                symbol=tuple(draw(st.lists(_FORMS, max_size=2))),
+                alias=tuple(draw(st.lists(_FORMS, max_size=2))),
+                affine_offset=draw(st.sampled_from([0.0, 0.0, 0.0, 273.15])) if j else 0.0,
+            ))
+    try:
+        return KnowledgeBase.from_records(draw(st.permutations(records)))
+    except KbValidationError:
+        assume(False)
 
 
 class TestLoad:
@@ -118,6 +156,22 @@ class TestLoad:
         with pytest.raises(KbValidationError, match="record=Y"):
             KnowledgeBase.from_records([record])
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("conversion_val", math.nan),
+            ("conversion_val", math.inf),
+            ("conversion_val", float("1e309")),
+            ("affine_offset", math.nan),
+            ("affine_offset", -math.inf),
+        ],
+        ids=["cv-nan", "cv-inf", "cv-1e309", "offset-nan", "offset-minus-inf"],
+    )
+    def test_non_finite_value_rejected(self, field, value):
+        record = make_record("X", "Length", LEN, 1.0, **{field: value})
+        with pytest.raises(KbValidationError, match=rf"finite.*\[record=X, field={field}\]"):
+            KnowledgeBase.from_records([record])
+
     def test_load_is_order_insensitive(self, tmp_path, data_dir):
         lines = (data_dir / "units.tsv").read_text(encoding="utf-8").splitlines()
         random.Random(7).shuffle(lines)
@@ -127,6 +181,30 @@ class TestLoad:
         assert a.records == b.records
         assert a.surface_index == b.surface_index
         assert a.dimension_index == b.dimension_index
+
+
+class TestDerivedFacts:
+    """The indexes from_records builds against the scans they replaced."""
+
+    @given(small_kbs())
+    @settings(max_examples=100, deadline=None)
+    def test_units_of_kind_matches_sorted_scan(self, kb):
+        for kind_id in kb.kinds:
+            expected = tuple(
+                uid for uid, r in sorted(kb.records.items()) if r.quantity_kind == kind_id
+            )
+            assert kb.units_of_kind(kind_id) == expected
+
+    @given(small_kbs())
+    @settings(max_examples=100, deadline=None)
+    def test_normalized_forms_follow_surface_forms(self, kb):
+        for rec in kb.records.values():
+            assert rec.normalized_forms == tuple(map(normalize_surface, rec.surface_forms()))
+        for form, units in kb.surface_index.items():
+            assert units == tuple(
+                uid for uid, r in sorted(kb.records.items())
+                if form in map(normalize_surface, r.surface_forms())
+            )
 
 
 class TestFrequency:
@@ -247,6 +325,17 @@ class TestConversion:
             conversion_factor(kb, "DEG_C", "K")
         with pytest.raises(AffineConversionError):
             conversion_factor(kb, "K", "DEG_C")
+
+    def test_factor_outside_float_range_rejected(self):
+        wide = KnowledgeBase.from_records([
+            make_record("M", "Length", LEN, 1.0),
+            make_record("HUGE", "Length", LEN, 1e200),
+            make_record("TINY", "Length", LEN, 1e-200),
+        ])
+        assert conversion_factor(wide, "HUGE", "M") == 1e200
+        for a, b in (("HUGE", "TINY"), ("TINY", "HUGE")):
+            with pytest.raises(ConversionRangeError, match=f"{a} -> {b}"):
+                conversion_factor(wide, a, b)
 
     def test_reciprocity_over_fixture(self, kb):
         for units in kb.dimension_index.values():

@@ -3,13 +3,18 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dimkit.errors import GenerationError
-from dimkit.quantity_text import ConstantOracle, annotate_corpus
+from dimkit.dimension import is_comparable
+from dimkit.errors import DimkitError, GenerationError
+from dimkit.quantity_text import AnnotatedSentence, ConstantOracle, QuantityMention, annotate_corpus
 from dimkit.tasks import (
     GENERATORS,
     ORACLES,
     TASK_TYPES,
+    TaskInstance,
+    _distractors_by_dimension,
     expression_dimension,
     gen_comparable,
     gen_dimension_arithmetic,
@@ -22,6 +27,7 @@ from dimkit.tasks import (
     save_instances,
     verify_instance,
 )
+from test_kb import FUZZ_DIMS, small_kbs
 
 # ---------------------------------------------------------------------------
 # Independent oracle: dimension strings parsed with a standalone regex and
@@ -260,6 +266,24 @@ class TestUnitConversion:
         assert_single_correct(tiny, gen_unit_conversion(tiny, random.Random(0), 60))
 
 
+    def test_non_finite_distractors_are_filtered(self):
+        from dimkit.dimension import DimensionVector
+        from dimkit.kb import KnowledgeBase
+        from test_kb import make_record
+
+        # beta = 1e306 puts beta * 1e3 past the float range; the reciprocal
+        # of beta = 1e-306 stays finite.  inf must be dropped like a
+        # near-duplicate, leaving six finite distractors to choose from.
+        dim = DimensionVector.of(M=1, L=-1, T=-2)
+        tiny = KnowledgeBase.from_records([
+            make_record("PA", "Pressure", dim, 1.0),
+            make_record("HUGE", "Pressure", dim, 1e306),
+        ])
+        instances = gen_unit_conversion(tiny, random.Random(0), 60)
+        assert_single_correct(tiny, instances)
+        assert {inst.prompt["from_unit"] for inst in instances} == {"PA", "HUGE"}
+
+
 class TestDeterminismAndIO:
     def test_same_seed_same_instances(self, kb, annotated):
         gens = [
@@ -297,3 +321,50 @@ class TestRegistry:
         for task_type in TASK_TYPES:
             with pytest.raises(GenerationError):
                 generate(task_type, kb, random.Random(0), n, m)
+
+
+class TestRandomKbs:
+    """The distractor pool against the scan it replaced, and every family
+    on random small KBs: valid instances or a DimkitError."""
+
+    @given(
+        small_kbs(),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(FUZZ_DIMS),
+        st.integers(0, 6),
+        st.sets(st.sampled_from([f"K{k}U{j}" for k in range(6) for j in range(5)])),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_distractor_pool_matches_comparable_scan(self, kb, seed, avoid, k, exclude):
+        pool = sorted(
+            uid
+            for uid, rec in kb.records.items()
+            if uid not in exclude and not is_comparable(rec.dimension, avoid)
+        )
+        if len(pool) < k:
+            with pytest.raises(GenerationError):
+                _distractors_by_dimension(kb, random.Random(seed), avoid, k, exclude)
+        else:
+            expected = random.Random(seed).sample(pool, k)
+            assert _distractors_by_dimension(kb, random.Random(seed), avoid, k, exclude) == expected
+
+    @given(kb=small_kbs(), seed=st.integers(0, 2**32 - 1), n=st.integers(0, 20),
+           m=st.integers(2, 5), linked=st.lists(st.integers(0, 29), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_valid_instances_or_documented_error(self, kb, seed, n, m, linked):
+        units = list(kb.records)
+        annotated = [
+            AnnotatedSentence(f"it is 5 {uid}", (QuantityMention((6, 7), None, 5.0, uid, uid),))
+            for uid in (units[i % len(units)] for i in linked)
+        ]
+        for task_type in TASK_TYPES:
+            options = {"annotated": annotated} if task_type == "dimension_prediction" else {}
+            try:
+                instances = generate(task_type, kb, random.Random(seed), n, m, **options)
+            except DimkitError:
+                continue
+            assert len(instances) == n
+            for inst in instances:
+                verify_instance(kb, inst)
+                assert len(inst.candidates) == m
+                assert TaskInstance.from_dict(json.loads(json.dumps(inst.to_dict()))) == inst
