@@ -48,7 +48,6 @@ from .linking import (
     levenshtein,
     link,
     mention_similarity,
-    surface_similarity,
 )
 from .mwp import (
     AugmentationRecord,

@@ -124,6 +124,8 @@ def cmd_convert(args) -> int:
     result = args.value * beta
     if not math.isfinite(result):
         raise InputError(f"{args.value} {args.from_unit} overflows a float in {args.to_unit}")
+    if result == 0.0 and args.value != 0.0:
+        raise InputError(f"{args.value} {args.from_unit} underflows a float in {args.to_unit}")
     print(f"{format_number(result)} {args.to_unit}")
     return EXIT_OK
 
@@ -172,7 +174,7 @@ def cmd_gen_tasks(args) -> int:
     options = {"dimension_arithmetic": {"max_terms": args.max_terms}}
     if "dimension_prediction" in wanted:
         if args.annotated:
-            annotated = qt.load_annotated(args.annotated)
+            annotated = read_records(args.annotated, qt.AnnotatedSentence.from_dict)
         else:
             corpus = read_lines(packaged_data("corpus_sample.txt"))
             annotated, _ = qt.annotate_corpus(corpus, kb, emb, qt.ConstantOracle("5"), args.threshold)
@@ -183,7 +185,7 @@ def cmd_gen_tasks(args) -> int:
         rng = derive_rng(args.seed, "gen-tasks", task_type)
         extra = options.get(task_type, {})
         instances += tasks.generate(task_type, kb, rng, args.n, args.m, **extra)
-    tasks.save_instances(instances, args.output)
+    write_lines((args.output, jsonl_lines(instances)))
     return EXIT_OK
 
 
@@ -232,7 +234,7 @@ def cmd_augment(args) -> int:
     emb = _embedder(args.embedder)
     problems = mwp_mod.load_problems(args.dataset)
     mix = None
-    if args.methods:
+    if args.methods is not None:
         mix = {name: 1.0 for name in args.methods.split(",") if name}
     rng = derive_rng(args.seed, "augment")
     out, records, failures = mwp_mod.augment_dataset(
@@ -260,7 +262,7 @@ def cmd_score(args) -> int:
         print("error: empty gold file", file=sys.stderr)
         return EXIT_DATA
     if codec is tasks.TaskInstance:
-        preds = scoring.load_predictions(args.predictions)
+        preds = read_records(args.predictions, scoring.Prediction.from_dict)
         metrics = scoring.score_predictions(gold, preds)
         print("task\ttotal\tanswered\tcorrect\tprecision\trecall\tf1\taccuracy")
         for name, m in metrics.items():
@@ -270,7 +272,7 @@ def cmd_score(args) -> int:
                 f"\t{m.precision:.4f}\t{m.recall:.4f}\t{m.f1:.4f}\t{m.accuracy:.4f}{flag}"
             )
     else:
-        preds = qt.load_annotated(args.predictions)
+        preds = read_records(args.predictions, qt.AnnotatedSentence.from_dict)
         metrics = scoring.score_quantity_extraction(gold, preds)
         print("subtask\tgold\tpredicted\tmatched\tprecision\trecall\tf1")
         for name, m in metrics.items():

@@ -68,16 +68,6 @@ def levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
-def surface_similarity(a: str, b: str) -> float:
-    """1 - d/maxlen over normalized strings; symmetric, 1 iff the
-    normalized forms are equal."""
-    na, nb = normalize_surface(a), normalize_surface(b)
-    longest = max(len(na), len(nb))
-    if longest == 0:
-        return 1.0
-    return 1.0 - levenshtein(na, nb) / longest
-
-
 def mention_similarity(surface: str, record: UnitRecord) -> float:
     """Best similarity over all of the record's surface forms."""
     ns = normalize_surface(surface)

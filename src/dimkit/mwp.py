@@ -26,14 +26,16 @@ call :func:`annotate_problem` on one to get them.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import asdict, dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .embeddings import EmbeddingProvider, TrigramHashEmbedding
-from .errors import AugmentationError, EquationError, InputError
+from .errors import AugmentationError, ConversionRangeError, EquationError, InputError
 from .kb import KnowledgeBase, conversion_factor, units_of_dimension
 from .linking import DEFAULT_THRESHOLD, Mention, link
 from .quantity_text import QuantityMention, extract_quantities
@@ -42,16 +44,18 @@ from .util import (
     byte_replace,
     byte_slice,
     format_plain,
-    jsonl_lines,
     normalize_surface,
     on_word_boundary,
     read_records,
-    write_lines,
 )
 
 #: context_dimension rejects rewritten values outside this band so
 #: augmented problems stay human-plausible.
 VALUE_MAX, VALUE_MIN = 1e9, 1e-6
+
+#: Deepest parenthesis nesting evaluate_equation accepts; its recursive
+#: descent parser would exhaust the interpreter's stack not far beyond.
+MAX_NESTING = 100
 
 _OPERATORS = set("+-*/%=()")
 
@@ -75,15 +79,28 @@ def tokenize_equation(equation: str) -> list[str]:
     return tokens
 
 
-def evaluate_equation(equation: str) -> float:
-    """Evaluate with standard precedence (* / over + -), parentheses,
-    and '%' as postfix percent.  If '=' is present only the segment
-    after the last '=' is evaluated."""
+def _evaluated_tokens(equation: str) -> list[str]:
+    """Tokens of the segment evaluate_equation evaluates: after the last '='."""
     tokens = tokenize_equation(equation)
     if "=" in tokens:
         tokens = tokens[len(tokens) - tokens[::-1].index("="):]
+    return tokens
+
+
+def _nesting_depth(tokens: list[str]) -> int:
+    return max(accumulate((tok == "(") - (tok == ")") for tok in tokens), default=0)
+
+
+def evaluate_equation(equation: str) -> float:
+    """Evaluate with standard precedence (* / over + -), parentheses,
+    and '%' as postfix percent.  If '=' is present only the segment
+    after the last '=' is evaluated.  Nesting deeper than MAX_NESTING
+    and a non-finite result raise EquationError."""
+    tokens = _evaluated_tokens(equation)
     if not tokens:
         raise EquationError("empty equation")
+    if _nesting_depth(tokens) > MAX_NESTING:
+        raise EquationError(f"parentheses nested deeper than {MAX_NESTING}")
     pos = 0
 
     def peek() -> str | None:
@@ -145,6 +162,8 @@ def evaluate_equation(equation: str) -> float:
     result = parse_expr()
     if pos != len(tokens):
         raise EquationError(f"unexpected token {tokens[pos]!r} at {pos}")
+    if not math.isfinite(result):
+        raise EquationError(f"equation evaluates to {result}")
     return result
 
 
@@ -190,6 +209,8 @@ class MwpProblem:
         )
 
     def check(self) -> None:
+        if not math.isfinite(self.answer):
+            raise EquationError(f"problem {self.id}: answer {self.answer} is not finite")
         value = evaluate_equation(self.equation)
         tolerance = 1e-9 * max(1.0, abs(self.answer))
         if abs(value - self.answer) > tolerance:
@@ -357,7 +378,14 @@ def _linked_body_mentions(p: MwpProblem, kb, emb, threshold) -> list[QuantityMen
 
 
 def _finish_augmentation(p, augmented, method, original_unit, new_unit, scale):
-    """Check the rewritten problem and record the change."""
+    """Check the rewritten problem and record the change.  A rewrite the
+    equation grammar cannot hold (an answer rescaled past the float
+    range, a wrap past MAX_NESTING) is an augmentation failure; any other
+    check failure is a defect of the rewrite and propagates."""
+    if not math.isfinite(augmented.answer):
+        raise AugmentationError(f"problem {p.id}: rescaled answer {augmented.answer} is not finite")
+    if _nesting_depth(_evaluated_tokens(augmented.equation)) > MAX_NESTING:
+        raise AugmentationError(f"problem {p.id}: rewritten equation nests deeper than {MAX_NESTING}")
     augmented.check()
     return augmented, AugmentationRecord(
         p.id, method, original_unit, new_unit, scale, p.answer, augmented.answer
@@ -406,9 +434,12 @@ def augment_context_dimension(
                 continue
             if target_unit is not None and alt != target_unit:
                 continue
-            beta = conversion_factor(kb, mention.linked_unit, alt)
+            try:
+                beta = conversion_factor(kb, mention.linked_unit, alt)
+            except ConversionRangeError:
+                continue
             new_value = mention.value * beta
-            if not (VALUE_MIN <= abs(new_value) <= VALUE_MAX):
+            if not (VALUE_MIN <= abs(new_value) <= VALUE_MAX) or math.isinf(1.0 / beta):
                 continue
             candidates.append((mention, alt, beta))
     if not candidates:
@@ -478,7 +509,10 @@ def augment_question_dimension(
     if not alts:
         raise AugmentationError(f"problem {p.id}: no same-dimension alternative for question unit")
     alt = alts[rng.randrange(len(alts))]
-    beta = conversion_factor(kb, unit_mention.unit_id, alt)
+    try:
+        beta = conversion_factor(kb, unit_mention.unit_id, alt)
+    except ConversionRangeError as exc:
+        raise AugmentationError(f"problem {p.id}: {exc}") from None
     new_question = _insert(p.question, *unit_mention.span, _display_form(kb, alt, unit_mention.surface))
     if "=" in p.equation:
         head, _, tail = p.equation.rpartition("=")
@@ -518,7 +552,8 @@ def augment_dataset(
 ) -> tuple[list[MwpProblem], list[AugmentationRecord], list[AugmentationFailure]]:
     """Augment each problem independently with probability eta.
 
-    A method is drawn from method_mix; on failure the problem passes
+    A method is drawn from method_mix (None: all methods, equal
+    weights; an empty mix is rejected); on failure the problem passes
     through unchanged and the failure is recorded.  Output size equals
     the input size (in-place policy) or twice it (append policy).  Each
     problem gets a derived sub-seed, so the selection set is
@@ -528,7 +563,9 @@ def augment_dataset(
     if not (0.0 <= eta <= 1.0):
         raise InputError(f"eta must lie in [0, 1], got {eta}")
     emb = emb or TrigramHashEmbedding()
-    mix = method_mix or {name: 1.0 for name in AUGMENT_METHODS}
+    mix = {name: 1.0 for name in AUGMENT_METHODS} if method_mix is None else method_mix
+    if not mix:
+        raise InputError("empty augmentation method mix")
     unknown = set(mix) - set(AUGMENT_METHODS)
     if unknown:
         raise InputError(f"unknown augmentation methods: {sorted(unknown)}")
@@ -565,11 +602,3 @@ def load_problems(path: str | Path) -> list[MwpProblem]:
     for p in problems:
         p.check()
     return problems
-
-
-def save_problems(problems: Sequence[MwpProblem], path: str | Path) -> None:
-    write_lines((path, jsonl_lines(problems)))
-
-
-def save_records(records: Sequence[AugmentationRecord], path: str | Path) -> None:
-    write_lines((path, jsonl_lines(records)))

@@ -26,15 +26,7 @@ from .embeddings import EmbeddingProvider
 from .errors import InputError
 from .kb import KnowledgeBase
 from .linking import DEFAULT_THRESHOLD, Mention, candidate_generation, link
-from .util import (
-    byte_replace,
-    byte_slice,
-    char_to_byte_offsets,
-    jsonl_lines,
-    read_lines,
-    read_records,
-    write_lines,
-)
+from .util import byte_replace, byte_slice, char_to_byte_offsets, read_lines
 
 MASK_TOKEN = "[MASK]"
 
@@ -381,24 +373,12 @@ def apply_review(
 # Serialization
 
 
-def save_annotated(sentences: Sequence[AnnotatedSentence], path: str | Path) -> None:
-    write_lines((path, jsonl_lines(sentences)))
-
-
-def load_annotated(path: str | Path) -> list[AnnotatedSentence]:
-    return read_records(path, AnnotatedSentence.from_dict)
-
-
 def review_lines(rows: Sequence[ReviewRow]) -> list[str]:
     return [f"{r.line_no}\t{r.span[0]}-{r.span[1]}\t{r.surface}\t{r.verdict}" for r in rows]
 
 
-def save_review(rows: Sequence[ReviewRow], path: str | Path) -> None:
-    write_lines((path, review_lines(rows)))
-
-
 def load_review(path: str | Path) -> list[ReviewRow]:
-    """Rows written by :func:`save_review`; a malformed line raises
+    """Rows as :func:`review_lines` writes them; a malformed line raises
     InputError naming the file and the line."""
     rows = []
     for lineno, line in enumerate(read_lines(path), 1):

@@ -10,15 +10,12 @@ full quantity (QE), the value part (VE) and the unit part (UE).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from .errors import DimkitError
 from .quantity_text import AnnotatedSentence
 from .tasks import TaskInstance
-from .util import read_records, write_lines
 
 
 @dataclass(frozen=True)
@@ -151,12 +148,3 @@ def score_quantity_extraction(
         "VE": _span_metrics(gold_ve, pred_ve),
         "UE": _span_metrics(gold_ue, pred_ue),
     }
-
-
-def load_predictions(path: str | Path) -> list[Prediction]:
-    return read_records(path, Prediction.from_dict)
-
-
-def save_predictions(predictions: Sequence[Prediction], path: str | Path) -> None:
-    # ASCII-escaped JSON, unlike the other JSONL outputs.
-    write_lines((path, (json.dumps({"id": p.id, "answer": p.answer}) for p in predictions)))

@@ -15,14 +15,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 from .dimension import DimensionVector, format_symbolic, is_comparable
 from .errors import DimensionRangeError, GenerationError
 from .kb import KnowledgeBase, conversion_factor, units_of_dimension
 from .quantity_text import AnnotatedSentence
-from .util import byte_replace, format_number, jsonl_lines, read_records, write_lines
+from .util import byte_replace, format_number
 
 DEFAULT_CANDIDATES = 4
 _RESAMPLE_BUDGET = 200
@@ -71,11 +70,10 @@ def _distractors_by_dimension(
     rng: random.Random,
     avoid: DimensionVector,
     k: int,
-    exclude: set[str] = frozenset(),
 ) -> list[str]:
     """k distinct units whose dimension differs from `avoid`."""
     same = units_of_dimension(kb, avoid)
-    pool = [uid for uid in kb.records if uid not in same and uid not in exclude]
+    pool = [uid for uid in kb.records if uid not in same]
     if len(pool) < k:
         raise GenerationError(f"need {k} distractors with dimension != {avoid}, have {len(pool)}")
     return rng.sample(pool, k)
@@ -238,7 +236,7 @@ def gen_comparable(
         anchor = irng.choice(anchors)
         dim = kb.unit(anchor).dimension
         correct = irng.choice(sorted(units_of_dimension(kb, dim) - {anchor}))
-        distractors = _distractors_by_dimension(kb, irng, dim, m - 1, exclude={anchor})
+        distractors = _distractors_by_dimension(kb, irng, dim, m - 1)
         sym = format_symbolic(dim)
         reasoning = (
             f"{_label(kb, anchor)} has dimension {sym}; {_label(kb, correct)} shares it, "
@@ -477,15 +475,3 @@ def generate(
     if m < 2:
         raise GenerationError(f"need >= 2 candidates per instance, got {m}")
     return GENERATORS[task_type](kb=kb, rng=rng, n=n, m=m, **options)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def save_instances(instances: Sequence[TaskInstance], path: str | Path | None) -> None:
-    write_lines((path, jsonl_lines(instances)))
-
-
-def load_instances(path: str | Path) -> list[TaskInstance]:
-    return read_records(path, TaskInstance.from_dict)

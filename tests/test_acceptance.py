@@ -28,7 +28,7 @@ from dimkit.mwp import (
     evaluate_equation,
     load_problems,
 )
-from dimkit.quantity_text import TableOracle, annotate_corpus, rule_annotate, save_annotated, save_review
+from dimkit.quantity_text import TableOracle, annotate_corpus, review_lines, rule_annotate
 from dimkit.scoring import Prediction, score_predictions, score_quantity_extraction
 from dimkit.quantity_text import AnnotatedSentence, QuantityMention
 from dimkit.tasks import (
@@ -39,6 +39,7 @@ from dimkit.tasks import (
     gen_magnitude_comparison,
     gen_unit_conversion,
 )
+from dimkit.util import jsonl_lines, write_lines
 
 from test_bootstrap import oracle_bootstrap
 from test_linking import oracle_link, random_probes
@@ -259,8 +260,7 @@ def test_criterion_11_annotation_pipeline(kb, emb, tmp_path):
         annotated_n, review_n = annotate_corpus(lines, kb, emb, oracle, 0.5)
         out = tmp_path / f"a{run}.jsonl"
         rev = tmp_path / f"r{run}.tsv"
-        save_annotated(annotated_n, out)
-        save_review(review_n, rev)
+        write_lines((out, jsonl_lines(annotated_n)), (rev, review_lines(review_n)))
         blobs.append(out.read_bytes() + rev.read_bytes())
     assert blobs[0] == blobs[1]
     _ok(11, f"rule F1 = 1.0 on {len(unambiguous)} unambiguous sentences; "

@@ -28,6 +28,11 @@ class TestConvert:
         assert code == 0
         assert out.strip() == "1 meter"
 
+    def test_zero_stays_zero(self, capsys):
+        code, out, _ = run(capsys, "convert", "0", "meter", "centimeter")
+        assert code == 0
+        assert out.strip() == "0 centimeter"
+
     def test_unit_trap_exits_2_with_dimensions(self, capsys):
         code, out, _ = run(capsys, "convert", "1", "poundal", "dyn/cm")
         assert code == 2
@@ -107,11 +112,12 @@ class TestGenTasks:
         assert a.read_bytes() != b.read_bytes()
 
     def test_instances_verify(self, capsys, tmp_path, kb):
-        from dimkit.tasks import load_instances, verify_instance
+        from dimkit.tasks import TaskInstance, verify_instance
+        from dimkit.util import read_records
 
         path = tmp_path / "t.jsonl"
         run(capsys, "gen-tasks", "all", "-n", "3", "--seed", "3", "-o", str(path))
-        for inst in load_instances(path):
+        for inst in read_records(path, TaskInstance.from_dict):
             verify_instance(kb, inst)
 
 
@@ -238,12 +244,28 @@ class TestInputErrors:
             ["--kb", "{tmp}/1e309.tsv", "convert", "1", "meter", "centimeter"],
             ["--kb", "{tmp}/wide.tsv", "convert", "1", "kilometer", "millimeter"],
             ["--kb", "{tmp}/wide.tsv", "gen-tasks", "unit_conversion", "-n", "2000"],
+            ["convert", "5e-324", "millimeter", "kilometer"],
+            ["augment", "{data}/mwp_sample.jsonl", "--methods", ","],
+            ["augment", "{data}/mwp_sample.jsonl", "--methods", ""],
+            ["augment", "{tmp}/deep.jsonl"],
+            ["augment", "{tmp}/nan_equation.jsonl"],
+            ["augment", "{tmp}/nan_answer.jsonl"],
         ],
     )
     def test_exit_4_without_traceback(self, capsys, tmp_path, data_dir, argv):
         (tmp_path / "vectors.txt").write_text("2 3\nwater 1.0 x 0.0\n", encoding="utf-8")
         (tmp_path / "triplets.tsv").write_text("a\tb\n", encoding="utf-8")
         (tmp_path / "bad.jsonl").write_text('{"id": "a"}\n{"id": 1\n', encoding="utf-8")
+        problem = (
+            '{{"id": "p", "body": "A 3 kg bag.", "question": "How many kg?", '
+            '"equation": "{}", "answer": {}}}\n'
+        )
+        for name, equation, answer in [
+            ("deep", "(" * 400 + "3" + ")" * 400, 3),
+            ("nan_equation", "9" * 400 + "*0", 7),
+            ("nan_answer", "3", "NaN"),
+        ]:
+            (tmp_path / f"{name}.jsonl").write_text(problem.format(equation, answer), encoding="utf-8")
         # KB copies with conversion values a float cannot carry through a
         # conversion: non-finite ones, and a finite pair whose ratio overflows
         kb_lines = (data_dir / "units.tsv").read_text(encoding="utf-8").splitlines()

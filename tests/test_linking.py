@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimkit.dimension import DimensionVector
 from dimkit.embeddings import TrigramHashEmbedding, WordVectorEmbedding, cosine
 from dimkit.errors import LinkingConfigError
 from dimkit.kb import KnowledgeBase, UnitRecord
@@ -16,8 +17,8 @@ from dimkit.linking import (
     context_score,
     link,
     mention_similarity,
-    surface_similarity,
 )
+from test_kb import make_record
 
 # ---------------------------------------------------------------------------
 # Independent oracle: a separately coded edit distance and scorer.
@@ -112,35 +113,35 @@ def random_probes(kb, count, seed=2024):
 # ---------------------------------------------------------------------------
 
 
+def one_form(form: str) -> UnitRecord:
+    """A record whose only surface form is `form`."""
+    return make_record("X", "Length", DimensionVector.of(L=1), 1.0, label_en=form)
+
+
 class TestSimilarity:
     def test_exact_symbol_match(self, kb):
         assert mention_similarity("kg", kb.unit("KiloGM")) == 1.0
 
     def test_metre_vs_meter(self):
-        record = UnitRecord(
-            unit_id="X", label_en="meter", label_zh="", symbol=(), alias=(),
-            description="", keywords=("k",), frequency=0.5, quantity_kind="Length",
-            dimension=__import__("dimkit.dimension", fromlist=["DimensionVector"]).DimensionVector.of(L=1),
-            conversion_val=1.0,
-        )
-        assert mention_similarity("metre", record) == pytest.approx(1 - 2 / 5)
+        assert mention_similarity("metre", one_form("meter")) == pytest.approx(1 - 2 / 5)
 
     def test_disjoint_strings(self):
-        assert surface_similarity("xyz", "abc") == 0.0
+        assert mention_similarity("xyz", one_form("abc")) == 0.0
 
-    @given(st.text(max_size=12), st.text(max_size=12))
+    @given(st.text(min_size=1, max_size=12), st.text(min_size=1, max_size=12))
     @settings(max_examples=200)
     def test_symmetric_and_exact_iff_equal(self, a, b):
-        assert surface_similarity(a, b) == pytest.approx(surface_similarity(b, a))
+        sim = mention_similarity(a, one_form(b))
+        assert sim == pytest.approx(mention_similarity(b, one_form(a)))
         if oracle_norm(a) == oracle_norm(b):
-            assert surface_similarity(a, b) == 1.0
+            assert sim == 1.0
         else:
-            assert surface_similarity(a, b) < 1.0
+            assert sim < 1.0
 
-    @given(st.text(max_size=12), st.text(max_size=12))
+    @given(st.text(max_size=12), st.text(min_size=1, max_size=12))
     @settings(max_examples=200)
     def test_matches_oracle_distance(self, a, b):
-        assert surface_similarity(a, b) == pytest.approx(oracle_similarity(a, b))
+        assert mention_similarity(a, one_form(b)) == pytest.approx(oracle_similarity(a, b))
 
 
 class TestCandidateGeneration:

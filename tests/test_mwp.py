@@ -2,12 +2,16 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dimkit import mwp
-from dimkit.errors import AugmentationError, EquationError
+from dimkit.dimension import DimensionVector
+from dimkit.errors import AugmentationError, EquationError, InputError
 from dimkit.kb import KnowledgeBase, conversion_factor
 from dimkit.mwp import (
     AUGMENT_METHODS,
+    MAX_NESTING,
     AugmentationRecord,
     MwpProblem,
     annotate_problem,
@@ -19,10 +23,10 @@ from dimkit.mwp import (
     evaluate_equation,
     find_unit_mentions,
     load_problems,
-    save_problems,
-    save_records,
     tokenize_equation,
 )
+from dimkit.util import format_plain, jsonl_lines, write_lines
+from test_kb import make_record, small_kbs
 
 
 @pytest.fixture(scope="module")
@@ -83,11 +87,35 @@ class TestEvaluator:
             evaluate_equation("1/0")
         with pytest.raises(EquationError):
             evaluate_equation("1..2")
+        with pytest.raises(EquationError, match="evaluates to nan"):
+            evaluate_equation("9" * 400 + "*0")
+        with pytest.raises(EquationError, match="evaluates to inf"):
+            evaluate_equation("9" * 400)
+
+    def test_nesting_limit(self):
+        assert evaluate_equation("(" * MAX_NESTING + "1" + ")" * MAX_NESTING) == 1.0
+        with pytest.raises(EquationError, match="nested deeper"):
+            evaluate_equation("(" * 400 + "1" + ")" * 400)
 
     def test_problem_invariant_checked_on_load(self, tmp_path):
         bad = {"id": "x", "body": "b", "question": "q", "equation": "1+1", "answer": 3.0}
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(EquationError):
+            load_problems(path)
+
+    @pytest.mark.parametrize(
+        "equation,answer",
+        [("3", "NaN"), ("3", "Infinity"), ("9" * 400 + "*0", "7"), ("(" * 400 + "1" + ")" * 400, "1")],
+        ids=["nan-answer", "inf-answer", "nan-equation", "deep-nesting"],
+    )
+    def test_non_finite_or_too_deep_rejected_on_load(self, tmp_path, equation, answer):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            f'{{"id": "x", "body": "b", "question": "q", "equation": "{equation}", '
+            f'"answer": {answer}}}\n',
+            encoding="utf-8",
+        )
         with pytest.raises(EquationError):
             load_problems(path)
 
@@ -136,9 +164,6 @@ class TestContextFormat:
             augment_context_format(p, kb, random.Random(0), emb)
 
     def test_single_form_unit_errors(self, emb):
-        from dimkit.dimension import DimensionVector
-        from test_kb import make_record
-
         records = [
             make_record("U1", "Mass", DimensionVector.of(M=1), 1.0,
                         label_en="blim", keywords=("mass",)),
@@ -237,9 +262,6 @@ class TestQuestionDimension:
     def test_beta_one_keeps_answer_numerically(self, emb):
         # two kinds sharing a dimension, each with its own standard unit:
         # substituting across them has conversion factor exactly 1
-        from dimkit.dimension import DimensionVector
-        from test_kb import make_record
-
         dim = DimensionVector.of(L=2, M=1, T=-2)
         tiny = KnowledgeBase.from_records([
             make_record("JL", "Energy", dim, 1.0, label_en="jolt",
@@ -255,6 +277,65 @@ class TestQuestionDimension:
         assert record.scale == 1.0
         assert augmented.answer == pytest.approx(p.answer)
         augmented.check()
+
+    def test_non_finite_rescaled_answer_is_a_recorded_failure(self, emb):
+        dim = DimensionVector.of(M=1)
+        tiny = KnowledgeBase.from_records([
+            make_record("BIG", "Mass", dim, 1.0, label_en="blim", keywords=("mass",)),
+            make_record("TINY", "Mass", dim, 1e-300, label_en="speck", keywords=("mass",)),
+        ])
+        p = MwpProblem("x", "A crate holds 5 blim.", "How many blim?", "10000000000", 1e10)
+        out, records, failures = augment_dataset(
+            [p], tiny, random.Random(0), 1.0, {"question_dimension": 1.0}, emb
+        )
+        assert out == [p] and records == []
+        assert [(f.problem_id, f.method) for f in failures] == [("x", "question_dimension")]
+        assert "not finite" in failures[0].reason
+
+    @staticmethod
+    def blim_kb(*extra):
+        dim = DimensionVector.of(M=1)
+        return KnowledgeBase.from_records([
+            make_record("BIG", "Mass", dim, 1.0, label_en="blim", keywords=("mass",)),
+            *(make_record(uid, "Mass", dim, cv, label_en=label, keywords=("mass",))
+              for uid, cv, label in extra),
+        ])
+
+    def test_factor_out_of_float_range_is_a_recorded_failure(self, emb):
+        # BIG -> TINY has factor 1e320, which conversion_factor rejects
+        p = MwpProblem("x", "A crate holds 5 blim.", "How many blim?", "5", 5.0)
+        kb = self.blim_kb(("TINY", 1e-320, "speck"))
+        for method in ("context_dimension", "question_dimension"):
+            out, records, failures = augment_dataset(
+                [p], kb, random.Random(0), 1.0, {method: 1.0}, emb
+            )
+            assert out == [p] and records == []
+            assert [(f.problem_id, f.method) for f in failures] == [("x", method)]
+
+    def test_context_dimension_skips_out_of_range_alternative(self, emb):
+        p = MwpProblem("x", "A crate holds 5 blim.", "How many blim?", "5", 5.0)
+        kb = self.blim_kb(("TINY", 1e-320, "speck"), ("MID", 0.1, "gronk"))
+        augmented, record = augment_context_dimension(p, kb, random.Random(0), emb)
+        assert record.new_unit == "MID"
+        augmented.check()
+
+    def test_context_dimension_skips_factor_with_infinite_inverse(self, emb):
+        # SPECK -> BIG has factor 1e-310, whose inverse overflows the rewrite
+        value = "1" + "0" * 305
+        p = MwpProblem("x", f"A crate holds {value} speck.", "How many speck?", value, 1e305)
+        kb = self.blim_kb(("SPECK", 1e-310, "speck"))
+        with pytest.raises(AugmentationError, match="no plausible"):
+            augment_context_dimension(p, kb, random.Random(0), emb)
+
+    @pytest.mark.parametrize("method", ["context_dimension", "question_dimension"])
+    def test_wrap_past_nesting_limit_is_a_recorded_failure(self, emb, method):
+        equation = "(" * MAX_NESTING + "5" + ")" * MAX_NESTING
+        p = MwpProblem("x", "A crate holds 5 blim.", "How many blim?", equation, 5.0)
+        out, records, failures = augment_dataset(
+            [p], self.blim_kb(("MID", 0.1, "gronk")), random.Random(0), 1.0, {method: 1.0}, emb
+        )
+        assert out == [p] and records == []
+        assert "nests deeper" in failures[0].reason
 
     def test_scale_ratio_matches_conversion(self, problems, kb, emb):
         for p in problems:
@@ -306,6 +387,8 @@ class TestAugmentDataset:
             augment_dataset(problems, kb, random.Random(0), 0.5, {"bogus": 1.0}, emb)
         with pytest.raises(ValueError):
             augment_dataset(problems, kb, random.Random(0), 1.5, emb=emb)
+        with pytest.raises(InputError, match="empty"):
+            augment_dataset(problems, kb, random.Random(0), 0.5, {}, emb)
 
     def test_failures_pass_through(self, kb, emb):
         p = MwpProblem("x", "plain text body", "plain question?", "1+1", 2.0)
@@ -320,8 +403,7 @@ class TestAugmentDataset:
     def test_io_roundtrip(self, problems, kb, emb, tmp_path):
         out, records, _ = augment_dataset(problems, kb, random.Random(3), 1.0, emb=emb)
         ppath, rpath = tmp_path / "p.jsonl", tmp_path / "r.jsonl"
-        save_problems(out, ppath)
-        save_records(records, rpath)
+        write_lines((ppath, jsonl_lines(out)), (rpath, jsonl_lines(records)))
         reloaded = load_problems(ppath)
         assert [p.id for p in reloaded] == [p.id for p in out]
         assert len(rpath.read_text(encoding="utf-8").splitlines()) == len(records)
@@ -330,6 +412,48 @@ class TestAugmentDataset:
         _, records, _ = augment_dataset(problems, kb, random.Random(3), 1.0, emb=emb)
         assert records
         assert [AugmentationRecord.from_dict(r.to_dict()) for r in records] == records
+
+
+_VALUES = st.one_of(st.integers(0, 10**6), st.floats(1e-6, 1e15))
+
+
+@st.composite
+def kbs_with_problems(draw):
+    """A random small KB and problems whose quantities use its surface
+    forms; each equation sums the body's values, so every problem checks."""
+    kb = draw(small_kbs())
+    all_forms = sorted({f for rec in kb.records.values() for f in rec.surface_forms()})
+    assume(all_forms)
+    forms = st.sampled_from(all_forms)
+    problems = []
+    for i in range(draw(st.integers(1, 3))):
+        values = [format_plain(float(v)) for v in draw(st.lists(_VALUES, min_size=1, max_size=3))]
+        body = " and ".join(f"{v} {draw(forms)}" for v in values) + "."
+        equation = "+".join(values)
+        problems.append(MwpProblem(
+            f"p{i}", body, f" How many {draw(forms)}?", equation, evaluate_equation(equation)
+        ))
+    return kb, problems
+
+
+class TestRandomKbs:
+    @given(kbs_with_problems(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_augmented_problem_is_valid_or_recorded_failure(self, kb_problems, seed):
+        kb, problems = kb_problems
+        for p in problems:
+            p.check()
+        out, records, failures = augment_dataset(problems, kb, random.Random(seed), 1.0)
+        failed = {f.problem_id for f in failures}
+        assert len(records) + len(failed) == len(problems) == len(out)
+        for before, after in zip(problems, out):
+            if before.id in failed:
+                assert after == before
+            else:
+                after.check()
+                json.dumps(after.to_dict(), allow_nan=False)
+        for record in records:
+            json.dumps(record.to_dict(), allow_nan=False)
 
 
 class TestMentions:

@@ -9,6 +9,7 @@ from dimkit import quantity_text
 from dimkit.errors import InputError
 from dimkit.linking import Mention, link
 from dimkit.quantity_text import (
+    AnnotatedSentence,
     CommandOracle,
     ConstantOracle,
     TableOracle,
@@ -17,13 +18,11 @@ from dimkit.quantity_text import (
     extract_quantities,
     extract_values,
     is_numeric_literal,
-    load_annotated,
     load_review,
+    review_lines,
     rule_annotate,
-    save_annotated,
-    save_review,
 )
-from dimkit.util import byte_slice, char_to_byte_offsets, read_lines
+from dimkit.util import byte_slice, char_to_byte_offsets, jsonl_lines, read_lines, read_records, write_lines
 
 
 def linking_every_prefix(text, kb, emb, threshold=0.5):
@@ -271,8 +270,7 @@ class TestAnnotateCorpus:
             annotated, review = annotate_corpus(corpus_lines(), kb, emb, oracle, 0.5)
             out = tmp_path / f"run{run}.jsonl"
             rev = tmp_path / f"run{run}.tsv"
-            save_annotated(annotated, out)
-            save_review(review, rev)
+            write_lines((out, jsonl_lines(annotated)), (rev, review_lines(review)))
             paths.append((out.read_bytes(), rev.read_bytes()))
         assert paths[0] == paths[1]
 
@@ -281,7 +279,7 @@ class TestAnnotateCorpus:
         rule = rule_annotate(corpus_lines(), kb, emb, 0.5)
         _, review = annotate_corpus(corpus_lines(), kb, emb, oracle, 0.5)
         path = tmp_path / "review.tsv"
-        save_review(review, path)
+        write_lines((path, review_lines(review)))
         loaded = load_review(path)
         assert loaded == review
 
@@ -315,8 +313,8 @@ class TestAnnotateCorpus:
     def test_annotated_jsonl_roundtrip(self, kb, emb, tmp_path):
         annotated, _ = annotate_corpus(corpus_lines(), kb, emb, ConstantOracle("5"), 0.5)
         path = tmp_path / "annotated.jsonl"
-        save_annotated(annotated, path)
-        assert load_annotated(path) == annotated
+        write_lines((path, jsonl_lines(annotated)))
+        assert read_records(path, AnnotatedSentence.from_dict) == annotated
 
 
 def test_command_oracle_runs_subprocess():

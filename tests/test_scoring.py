@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,12 +9,11 @@ from dimkit.errors import DimkitError
 from dimkit.quantity_text import AnnotatedSentence, QuantityMention
 from dimkit.scoring import (
     Prediction,
-    load_predictions,
-    save_predictions,
     score_predictions,
     score_quantity_extraction,
 )
 from dimkit.tasks import TaskInstance
+from dimkit.util import read_records, write_lines
 
 
 def make_gold(n, task_type="kind_match"):
@@ -93,8 +93,8 @@ class TestChoiceScoring:
     def test_predictions_file_roundtrip(self, tmp_path):
         preds = [Prediction("a-1", 2), Prediction("a-2", None)]
         path = tmp_path / "preds.jsonl"
-        save_predictions(preds, path)
-        assert load_predictions(path) == preds
+        write_lines((path, (json.dumps({"id": p.id, "answer": p.answer}) for p in preds)))
+        assert read_records(path, Prediction.from_dict) == preds
 
 
 def sentence(line_no, text, spans):

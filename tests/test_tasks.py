@@ -23,10 +23,9 @@ from dimkit.tasks import (
     gen_magnitude_comparison,
     gen_unit_conversion,
     generate,
-    load_instances,
-    save_instances,
     verify_instance,
 )
+from dimkit.util import jsonl_lines, read_records, write_lines
 from test_kb import FUZZ_DIMS, small_kbs
 
 # ---------------------------------------------------------------------------
@@ -300,8 +299,8 @@ class TestDeterminismAndIO:
     def test_jsonl_roundtrip(self, kb, tmp_path):
         instances = gen_kind_match(kb, random.Random(1), 5)
         path = tmp_path / "tasks.jsonl"
-        save_instances(instances, path)
-        assert load_instances(path) == instances
+        write_lines((path, jsonl_lines(instances)))
+        assert read_records(path, TaskInstance.from_dict) == instances
         first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
         assert set(first) == {"id", "task_type", "prompt", "candidates",
                               "answer_index", "rationale", "seed"}
@@ -332,21 +331,16 @@ class TestRandomKbs:
         st.integers(0, 2**32 - 1),
         st.sampled_from(FUZZ_DIMS),
         st.integers(0, 6),
-        st.sets(st.sampled_from([f"K{k}U{j}" for k in range(6) for j in range(5)])),
     )
     @settings(max_examples=200, deadline=None)
-    def test_distractor_pool_matches_comparable_scan(self, kb, seed, avoid, k, exclude):
-        pool = sorted(
-            uid
-            for uid, rec in kb.records.items()
-            if uid not in exclude and not is_comparable(rec.dimension, avoid)
-        )
+    def test_distractor_pool_matches_comparable_scan(self, kb, seed, avoid, k):
+        pool = sorted(uid for uid, rec in kb.records.items() if not is_comparable(rec.dimension, avoid))
         if len(pool) < k:
             with pytest.raises(GenerationError):
-                _distractors_by_dimension(kb, random.Random(seed), avoid, k, exclude)
+                _distractors_by_dimension(kb, random.Random(seed), avoid, k)
         else:
             expected = random.Random(seed).sample(pool, k)
-            assert _distractors_by_dimension(kb, random.Random(seed), avoid, k, exclude) == expected
+            assert _distractors_by_dimension(kb, random.Random(seed), avoid, k) == expected
 
     @given(kb=small_kbs(), seed=st.integers(0, 2**32 - 1), n=st.integers(0, 20),
            m=st.integers(2, 5), linked=st.lists(st.integers(0, 29), max_size=4))
