@@ -45,7 +45,7 @@ from .errors import (
     UnitResolutionError,
 )
 from .kb import KnowledgeBase, conversion_factor, load_kb, lookup_surface, units_of_dimension
-from .linking import Mention, link
+from .linking import DEFAULT_THRESHOLD, Mention, link
 from .util import derive_rng, format_number, jsonl_lines, read_lines, read_records, write_lines
 
 EXIT_OK = 0
@@ -91,7 +91,13 @@ def _oracle(spec: str) -> qt.MaskedFillOracle:
     if spec.startswith("constant:"):
         return qt.ConstantOracle(spec.split(":", 1)[1])
     if spec.startswith("command:"):
-        return qt.CommandOracle(shlex.split(spec.split(":", 1)[1]))
+        try:
+            argv = shlex.split(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise DimkitError(f"bad oracle command {spec!r}: {exc}") from None
+        if not argv:
+            raise DimkitError(f"oracle spec {spec!r} names no command")
+        return qt.CommandOracle(argv)
     raise DimkitError(f"unknown oracle spec {spec!r} (use 'constant:TOKEN' or 'command:CMD')")
 
 
@@ -291,7 +297,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="dimkit", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--kb", help="KB file path (default: $DIMKIT_KB or the packaged KB)")
     parser.add_argument("--embedder", default="trigram", help="'trigram' or 'vectors:PATH'")
-    parser.add_argument("--threshold", type=float, default=0.5, help="candidate similarity threshold")
+    parser.add_argument(
+        "--threshold", type=float, default=DEFAULT_THRESHOLD, help="candidate similarity threshold"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", help="convert a value between units")

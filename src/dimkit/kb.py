@@ -20,12 +20,16 @@ freq_cf`` with strictly positive raw scores.
 modules read: indexes from a normalized surface form, an encoded
 dimension string or a kind id to sorted unit ids (``surface_index``,
 ``dimension_index``, ``kind_index``), and each record's
-``normalized_forms`` in ``surface_forms()`` order.
+``normalized_forms`` in ``surface_forms()`` order.  The padded-bigram
+index of the normalized forms that candidate generation filters with
+(``bigram_index``) is derived once as well, on first use, so commands
+that never link do not build it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -105,12 +109,38 @@ class FrequencyWeights:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
 
+def padded_bigrams(form: str) -> Counter:
+    """Multiset of the bigrams of form framed by a start and an end mark.
+
+    A form of length n yields n + 1 bigrams.  The marks may also occur
+    inside a form: the q-gram count bound stays valid for any padding,
+    it only filters less.
+    """
+    padded = f"\x02{form}\x03"
+    return Counter(padded[i : i + 2] for i in range(len(padded) - 1))
+
+
+@dataclass(frozen=True)
+class BigramIndex:
+    """Inverted padded-bigram index over the distinct normalized forms.
+
+    Forms are bucketed by length: ``forms[m]`` lists the forms of length
+    m, and ``postings[m][g]`` pairs each of them that holds bigram g with
+    its count of g.  The units owning a form are
+    ``KnowledgeBase.surface_index[form]``.
+    """
+
+    forms: dict[int, tuple[str, ...]]
+    postings: dict[int, dict[str, tuple[tuple[str, int], ...]]]
+
+
 @dataclass
 class KnowledgeBase:
     """Immutable after construction; unrestricted concurrent reads.
 
-    match_cache memoizes candidate generation per normalized surface;
-    concurrent writes at worst recompute an entry.
+    bigram_index is derived from surface_index on first use.  match_cache
+    memoizes candidate generation per normalized surface and threshold.
+    Concurrent first uses at worst build or recompute a value twice.
     """
 
     records: dict[str, UnitRecord]
@@ -138,6 +168,22 @@ class KnowledgeBase:
     def units_of_kind(self, kind_id: str) -> tuple[str, ...]:
         self.kind(kind_id)
         return self.kind_index[kind_id]
+
+    @cached_property
+    def bigram_index(self) -> BigramIndex:
+        forms: dict[int, list[str]] = {}
+        postings: dict[int, dict[str, list[tuple[str, int]]]] = {}
+        for form in self.surface_index:
+            forms.setdefault(len(form), []).append(form)
+            bucket = postings.setdefault(len(form), {})
+            for gram, count in padded_bigrams(form).items():
+                bucket.setdefault(gram, []).append((form, count))
+        return BigramIndex(
+            forms={m: tuple(fs) for m, fs in forms.items()},
+            postings={
+                m: {g: tuple(ps) for g, ps in bucket.items()} for m, bucket in postings.items()
+            },
+        )
 
     @classmethod
     def from_records(cls, records: Iterable[UnitRecord]) -> "KnowledgeBase":

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from .embeddings import EmbeddingProvider, cosine
 from .errors import InputError, LinkingConfigError
-from .kb import KnowledgeBase, UnitRecord
+from .kb import KnowledgeBase, UnitRecord, padded_bigrams
 from .util import normalize_surface
 
 DEFAULT_THRESHOLD = 0.5
@@ -87,28 +87,92 @@ def mention_similarity(surface: str, record: UnitRecord) -> float:
     return best
 
 
+def _admitted(sim: float, threshold: float) -> bool:
+    return sim > threshold or sim == 1.0
+
+
+def _max_distance(longest: int, threshold: float) -> int:
+    """Largest edit distance whose similarity at this length is admitted.
+
+    The algebraic estimate only seeds the search: the answer is settled
+    by the similarity expression itself, so float rounding cannot make
+    the filter disagree with the admission test.  Admission is monotone
+    in the distance, so the admitted distances are 0..k.
+    """
+    k = int(longest * (1.0 - threshold))
+    while k < longest and _admitted(1.0 - (k + 1) / longest, threshold):
+        k += 1
+    while k > 0 and not _admitted(1.0 - k / longest, threshold):
+        k -= 1
+    return k
+
+
+def _surviving_forms(kb: KnowledgeBase, query: str, threshold: float) -> set[str]:
+    """KB forms whose similarity to the normalized query may be admitted.
+
+    q-gram lemma (Ukkonen 1992): a form within k edits of the query
+    differs from it in length by at most k and shares at least
+    max(n, m) + 1 - 2k padded bigrams with it.  Forms failing either
+    bound cannot be admitted, so dropping them loses no candidate.
+    """
+    index = kb.bigram_index
+    n = len(query)
+    grams = padded_bigrams(query).items()
+    survivors: set[str] = set()
+    for m, forms in index.forms.items():
+        longest = max(n, m)
+        k = _max_distance(longest, threshold)
+        if abs(n - m) > k:
+            continue
+        need = longest + 1 - 2 * k
+        if need <= 0:  # the count bound is vacuous
+            survivors.update(forms)
+            continue
+        postings = index.postings[m]
+        shared: dict[str, int] = {}
+        for gram, count in grams:
+            for form, c in postings.get(gram, ()):
+                shared[form] = shared.get(form, 0) + min(count, c)
+        survivors.update(form for form, s in shared.items() if s >= need)
+    return survivors
+
+
 def candidate_generation(
     kb: KnowledgeBase, surface: str, threshold: float = DEFAULT_THRESHOLD
 ) -> list[LinkCandidate]:
-    """All units whose best-form similarity exceeds the threshold.
+    """All units whose best-form similarity exceeds the threshold, in
+    ``kb.records`` order.
 
     Exact-form matches (similarity 1.0) are always admitted, so
     threshold 1.0 keeps exactly the exact matches.  p_context is left at
     its neutral 1.0.
 
-    Results are memoized per knowledge base and normalized surface; the
-    KB is immutable after load, so cached entries never go stale.
+    A lossless padded-bigram filter over ``kb.bigram_index`` picks the
+    units that own a form which may pass; only those are scored, by
+    :func:`mention_similarity` with exact Levenshtein distances, so the
+    result and every p_mention equal a scan of all records.
+
+    Results are memoized per knowledge base, normalized surface and
+    threshold; the KB is immutable after load, so cached entries never
+    go stale.
     """
     if not (0.0 < threshold <= 1.0):
         raise InputError(f"threshold must lie in (0, 1], got {threshold}")
-    key = (normalize_surface(surface), threshold)
+    query = normalize_surface(surface)
+    key = (query, threshold)
     cached = kb.match_cache.get(key)
     if cached is None:
+        owners = {
+            unit_id
+            for form in _surviving_forms(kb, query, threshold)
+            for unit_id in kb.surface_index[form]
+        }
         cached = []
         for unit_id, record in kb.records.items():
-            sim = mention_similarity(surface, record)
-            if sim > threshold or sim == 1.0:
-                cached.append(LinkCandidate(unit_id=unit_id, prior=record.frequency, p_mention=sim))
+            if unit_id in owners:
+                sim = mention_similarity(surface, record)
+                if _admitted(sim, threshold):
+                    cached.append(LinkCandidate(unit_id=unit_id, prior=record.frequency, p_mention=sim))
         kb.match_cache[key] = cached
     return list(cached)
 

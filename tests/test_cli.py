@@ -250,6 +250,9 @@ class TestInputErrors:
             ["augment", "{tmp}/deep.jsonl"],
             ["augment", "{tmp}/nan_equation.jsonl"],
             ["augment", "{tmp}/nan_answer.jsonl"],
+            ["annotate", "{data}/corpus_sample.txt", "--oracle", "command:'x"],
+            ["annotate", "{data}/corpus_sample.txt", "--oracle", "command:"],
+            ["annotate", "{data}/corpus_sample.txt", "--oracle", "command: \t"],
         ],
     )
     def test_exit_4_without_traceback(self, capsys, tmp_path, data_dir, argv):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dimkit.dimension import DimensionVector
 from dimkit.embeddings import TrigramHashEmbedding, WordVectorEmbedding, cosine
 from dimkit.errors import LinkingConfigError
+from dimkit import linking
 from dimkit.kb import KnowledgeBase, UnitRecord
 from dimkit.linking import (
     Mention,
@@ -18,7 +19,7 @@ from dimkit.linking import (
     link,
     mention_similarity,
 )
-from test_kb import make_record
+from test_kb import make_record, small_kbs
 
 # ---------------------------------------------------------------------------
 # Independent oracle: a separately coded edit distance and scorer.
@@ -110,6 +111,42 @@ def random_probes(kb, count, seed=2024):
     return probes
 
 
+def scan(kb, surface, threshold):
+    """Brute-force candidate generation: every record, in kb.records order."""
+    out = []
+    for uid, record in kb.records.items():
+        sim = mention_similarity(surface, record)
+        if sim > threshold or sim == 1.0:
+            out.append((uid, sim))
+    return out
+
+
+def pairs(candidates):
+    return [(c.unit_id, c.p_mention) for c in candidates]
+
+
+# CJK, combining marks, "/", "°", the control characters that pad
+# bigrams, and whitespace (alone it normalizes to the empty string)
+_CHARS = st.text(
+    st.sampled_from(list("mkgsMKW/°米千克度 \t\u3000\u0301\u030a\x02\x03")), max_size=10
+)
+# 1.0 keeps exact matches only; below 1e-6 the bigram count bound is vacuous
+THRESHOLDS = st.one_of(
+    st.just(1.0),
+    st.floats(min_value=0.0, max_value=1e-6, exclude_min=True),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+
+
+def surfaces(forms):
+    """Random text, or a KB form with one character replaced by random text."""
+    edited = st.builds(
+        lambda form, i, text: form[:i] + text + form[i + 1 :],
+        st.sampled_from(forms), st.integers(0, 12), _CHARS,
+    )
+    return st.one_of(_CHARS, st.sampled_from(forms), edited)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -167,6 +204,34 @@ class TestCandidateGeneration:
     def test_threshold_validation(self, kb):
         with pytest.raises(ValueError):
             candidate_generation(kb, "m", 0.0)
+
+    @given(st.data(), THRESHOLDS)
+    @settings(max_examples=300, deadline=None)
+    def test_index_matches_scan_on_packaged_kb(self, kb, data, threshold):
+        forms = sorted({f for r in kb.records.values() for f in r.surface_forms()})
+        surface = data.draw(surfaces(forms))
+        fresh = dataclasses.replace(kb, match_cache={})  # a miss, and a new index
+        assert pairs(candidate_generation(fresh, surface, threshold)) == scan(fresh, surface, threshold)
+
+    @given(small_kbs(), st.data(), THRESHOLDS)
+    @settings(max_examples=200, deadline=None)
+    def test_index_matches_scan_on_small_kbs(self, kb, data, threshold):
+        forms = sorted({f for r in kb.records.values() for f in r.surface_forms()} | {"m"})  # never empty
+        surface = data.draw(surfaces(forms))
+        assert pairs(candidate_generation(kb, surface, threshold)) == scan(kb, surface, threshold)
+
+    def test_surface_sharing_no_bigram_is_never_scored(self, kb, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return oracle_levenshtein(a, b)
+
+        monkeypatch.setattr(linking, "levenshtein", counting)
+        fresh = dataclasses.replace(kb, match_cache={})
+        assert candidate_generation(fresh, "qqqq", 0.5) == []
+        assert ("qqqq", 0.5) in fresh.match_cache
+        assert calls == []
 
 
 class TestContextScore:
