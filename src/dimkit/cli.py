@@ -26,6 +26,7 @@ import json
 import math
 import os
 import shlex
+import shutil
 import sys
 from importlib import resources
 from pathlib import Path
@@ -97,6 +98,10 @@ def _oracle(spec: str) -> qt.MaskedFillOracle:
             raise DimkitError(f"bad oracle command {spec!r}: {exc}") from None
         if not argv:
             raise DimkitError(f"oracle spec {spec!r} names no command")
+        # a command that cannot start is a configuration error, not a
+        # per-mention oracle failure
+        if shutil.which(argv[0]) is None:
+            raise DimkitError(f"oracle command {argv[0]!r} is not an executable file")
         return qt.CommandOracle(argv)
     raise DimkitError(f"unknown oracle spec {spec!r} (use 'constant:TOKEN' or 'command:CMD')")
 

@@ -11,13 +11,23 @@ mention and context are conditionally independent:
 
 The top-ranked candidate is the argmax of the product; the full list is
 returned sorted by descending score with deterministic tie-breaking.
+
+Both similarity kernels are exact.  Edit distances come from the
+bit-parallel algorithm of Myers (J. ACM 1999) in Hyyrö's form for
+Levenshtein distance (2003), over Python ints of any width.  Context
+scores read per-embedder tables of each unit's keyword vectors and
+norms, and are memoized per (context, unit); every cosine is still one
+``np.dot`` over the product of the two norms, so a score carries the
+same bits as the plain per-pair computation.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
+from typing import Iterable
 
-from .embeddings import EmbeddingProvider, cosine
+from .embeddings import EmbeddingProvider
 from .errors import InputError, LinkingConfigError
 from .kb import KnowledgeBase, UnitRecord, padded_bigrams
 from .util import normalize_surface
@@ -52,39 +62,65 @@ class LinkCandidate:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Plain character-level edit distance (insert/delete/substitute)."""
+    """Character-level edit distance (insert/delete/substitute).
+
+    Myers' bit-vector algorithm in Hyyrö's Levenshtein form: bit i of
+    the vertical delta vectors pv/mv holds the +1/-1 step between rows
+    i and i + 1 of the current DP column, so one pass over b with a few
+    integer operations per character replaces the row-by-row table.
+    Python ints grow as needed, so a has no length limit.
+    """
     if a == b:
         return 0
     if not a:
         return len(b)
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    peq: dict[str, int] = {}
+    bit = 1
+    for ch in a:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, dist = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
-def mention_similarity(surface: str, record: UnitRecord) -> float:
-    """Best similarity over all of the record's surface forms."""
-    ns = normalize_surface(surface)
+def _best_similarity(query: str, forms: Iterable[str]) -> float:
+    """Best similarity of the normalized query over normalized forms."""
     best = 0.0
-    for nf in record.normalized_forms:
-        longest = max(len(ns), len(nf))
+    for nf in forms:
+        longest = max(len(query), len(nf))
         if longest == 0:
             return 1.0
         # the edit distance is at least the length difference, so this
         # upper-bounds the similarity; skip forms that cannot improve
-        bound = 1.0 - abs(len(ns) - len(nf)) / longest
+        bound = 1.0 - abs(len(query) - len(nf)) / longest
         if bound <= best:
             continue
-        sim = 1.0 - levenshtein(ns, nf) / longest
+        sim = 1.0 - levenshtein(query, nf) / longest
         if sim > best:
             best = sim
     return best
+
+
+def mention_similarity(surface: str, record: UnitRecord) -> float:
+    """Best similarity over all of the record's surface forms."""
+    return _best_similarity(normalize_surface(surface), record.normalized_forms)
 
 
 def _admitted(sim: float, threshold: float) -> bool:
@@ -148,9 +184,10 @@ def candidate_generation(
     its neutral 1.0.
 
     A lossless padded-bigram filter over ``kb.bigram_index`` picks the
-    units that own a form which may pass; only those are scored, by
-    :func:`mention_similarity` with exact Levenshtein distances, so the
-    result and every p_mention equal a scan of all records.
+    forms which may pass.  Each unit owning one is scored on those forms
+    only, with exact Levenshtein distances: a dropped form is never
+    admitted, so it cannot beat an admitted one, and the result and
+    every p_mention equal :func:`mention_similarity` over all records.
 
     Results are memoized per knowledge base, normalized surface and
     threshold; the KB is immutable after load, so cached entries never
@@ -162,19 +199,23 @@ def candidate_generation(
     key = (query, threshold)
     cached = kb.match_cache.get(key)
     if cached is None:
-        owners = {
-            unit_id
-            for form in _surviving_forms(kb, query, threshold)
-            for unit_id in kb.surface_index[form]
-        }
+        survivors = _surviving_forms(kb, query, threshold)
+        owners = {unit_id for form in survivors for unit_id in kb.surface_index[form]}
         cached = []
         for unit_id, record in kb.records.items():
             if unit_id in owners:
-                sim = mention_similarity(surface, record)
+                sim = _best_similarity(query, (f for f in record.normalized_forms if f in survivors))
                 if _admitted(sim, threshold):
                     cached.append(LinkCandidate(unit_id=unit_id, prior=record.frequency, p_mention=sim))
         kb.match_cache[key] = cached
     return list(cached)
+
+
+# Per embedder, while it lives: the keyword vectors of each unit with
+# their norms, keyed by (unit_id, keywords) so that two knowledge bases
+# sharing a unit_id stay apart; the vector and norm of each context token
+# (None without a vector); and the score per (context, unit_id, keywords).
+_CONTEXT_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> float:
@@ -182,25 +223,51 @@ def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> f
 
     Cosines are clamped to [0, 1] before aggregation; tokens or keywords
     without vectors contribute 0.  Empty context is neutral (1.0).
+
+    The keyword vectors of each unit and the vector of each context
+    token are looked up and their norms taken once per embedder, and
+    scores are memoized per (context, unit).  Each cosine is
+    ``np.dot(v, k) / (na * nb)`` with the token norm na first, as in
+    :func:`dimkit.embeddings.cosine`, and 0 when either norm is 0; a
+    matrix product would sum in another order and change the last bits.
     """
     if not record.keywords:
         raise LinkingConfigError(f"unit {record.unit_id} has no keywords; cannot score context")
+    tables = _CONTEXT_TABLES.get(emb)
+    if tables is None:
+        tables = _CONTEXT_TABLES[emb] = ({}, {}, {})
+    keyword_rows, token_rows, scores = tables
+    unit = (record.unit_id, record.keywords)
+    key = (context, *unit)
+    score = scores.get(key)
+    if score is not None:
+        return score
     tokens = emb.tokenize(context)
     if not tokens:
         return 1.0
-    keyword_tokens: list[str] = []
-    for kw in record.keywords:
-        keyword_tokens.extend(emb.tokenize(kw))
-    keyword_vectors = [v for v in (emb.vector(t) for t in keyword_tokens) if v is not None]
+    import numpy as np
 
+    rows = keyword_rows.get(unit)
+    if rows is None:
+        vectors = (emb.vector(t) for kw in record.keywords for t in emb.tokenize(kw))
+        rows = keyword_rows[unit] = [
+            (k, float(np.linalg.norm(k))) for k in vectors if k is not None
+        ]
     total = 0.0
     for token in tokens:
-        v = emb.vector(token)
-        if v is None or not keyword_vectors:
+        if token not in token_rows:
+            v = emb.vector(token)
+            token_rows[token] = None if v is None else (v, float(np.linalg.norm(v)))
+        entry = token_rows[token]
+        if entry is None or not rows:
             continue  # contributes 0
-        best = max(min(max(cosine(v, kv), 0.0), 1.0) for kv in keyword_vectors)
-        total += best
-    return total / len(tokens)
+        v, na = entry
+        total += max(
+            min(max(0.0 if na == 0.0 or nb == 0.0 else float(np.dot(v, k) / (na * nb)), 0.0), 1.0)
+            for k, nb in rows
+        )
+    score = scores[key] = total / len(tokens)
+    return score
 
 
 def link(

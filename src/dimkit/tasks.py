@@ -65,18 +65,25 @@ def _label(kb: KnowledgeBase, unit_id: str) -> str:
     return kb.records[unit_id].label_en or unit_id
 
 
-def _distractors_by_dimension(
+def _distractor_sampler(
     kb: KnowledgeBase,
-    rng: random.Random,
-    avoid: DimensionVector,
-    k: int,
-) -> list[str]:
-    """k distinct units whose dimension differs from `avoid`."""
-    same = units_of_dimension(kb, avoid)
-    pool = [uid for uid in kb.records if uid not in same]
-    if len(pool) < k:
-        raise GenerationError(f"need {k} distractors with dimension != {avoid}, have {len(pool)}")
-    return rng.sample(pool, k)
+) -> Callable[[random.Random, DimensionVector, int], list[str]]:
+    """``sample(rng, avoid, k)``: k distinct units whose dimension differs
+    from `avoid`, drawn from the units in ``kb.records`` order.  Each
+    avoided dimension's pool is built once per sampler, so a generator
+    makes one sampler per call."""
+    pools: dict[DimensionVector, list[str]] = {}
+
+    def sample(rng: random.Random, avoid: DimensionVector, k: int) -> list[str]:
+        pool = pools.get(avoid)
+        if pool is None:
+            same = units_of_dimension(kb, avoid)
+            pool = pools[avoid] = [uid for uid in kb.records if uid not in same]
+        if len(pool) < k:
+            raise GenerationError(f"need {k} distractors with dimension != {avoid}, have {len(pool)}")
+        return rng.sample(pool, k)
+
+    return sample
 
 
 def _instances(
@@ -205,10 +212,12 @@ def gen_kind_match(
     if len(kinds) < 4:
         raise GenerationError(f"need >= 4 kinds, KB has {len(kinds)}")
 
+    sample_distractors = _distractor_sampler(kb)
+
     def draw(i, irng):
         kind_id = irng.choice(kinds)
         correct = irng.choice(kb.units_of_kind(kind_id))
-        distractors = _distractors_by_dimension(kb, irng, kb.kinds[kind_id].dimension, m - 1)
+        distractors = sample_distractors(irng, kb.kinds[kind_id].dimension, m - 1)
         reasoning = (
             f"{_label(kb, correct)} measures {kind_id}; "
             + "; ".join(
@@ -232,11 +241,13 @@ def gen_comparable(
     if not anchors or len(kb.dimension_index) < 4:
         raise GenerationError("KB lacks dimension diversity for comparable tasks")
 
+    sample_distractors = _distractor_sampler(kb)
+
     def draw(i, irng):
         anchor = irng.choice(anchors)
         dim = kb.unit(anchor).dimension
         correct = irng.choice(sorted(units_of_dimension(kb, dim) - {anchor}))
-        distractors = _distractors_by_dimension(kb, irng, dim, m - 1)
+        distractors = sample_distractors(irng, dim, m - 1)
         sym = format_symbolic(dim)
         reasoning = (
             f"{_label(kb, anchor)} has dimension {sym}; {_label(kb, correct)} shares it, "
@@ -269,13 +280,15 @@ def gen_dimension_prediction(
     if not pool:
         raise GenerationError("no annotated sentences with linked mentions")
 
+    sample_distractors = _distractor_sampler(kb)
+
     def draw(i, irng):
         sent, mention = pool[irng.randrange(len(pool))]
         source = mention.linked_unit
         dim = kb.unit(source).dimension
         masked = byte_replace(sent.text, *mention.quantity_span, "[MASK]")
         correct = irng.choice(sorted(units_of_dimension(kb, dim)))
-        distractors = _distractors_by_dimension(kb, irng, dim, m - 1)
+        distractors = sample_distractors(irng, dim, m - 1)
         sym = format_symbolic(dim)
         reasoning = (
             f"The masked quantity has the dimension of {_label(kb, source)}, {sym}; "
@@ -304,6 +317,8 @@ def gen_dimension_arithmetic(
     if not all_units:
         raise GenerationError("empty KB")
 
+    sample_distractors = _distractor_sampler(kb)
+
     def draw(i, irng):
         for _ in range(_RESAMPLE_BUDGET):
             k = irng.randint(2, max_terms)
@@ -318,7 +333,7 @@ def gen_dimension_arithmetic(
                 continue
             correct = irng.choice(sorted(matches))
             try:
-                distractors = _distractors_by_dimension(kb, irng, dim, m - 1)
+                distractors = sample_distractors(irng, dim, m - 1)
             except GenerationError:
                 continue
             break

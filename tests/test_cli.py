@@ -162,6 +162,17 @@ class TestNoOutputOnFailure:
         assert [p.name for p in tmp_path.iterdir()] == ["rev"]
         assert list((tmp_path / "rev").iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["/nonexistent/predictor", "no-such-predictor-on-path --flag"])
+    def test_annotate_oracle_that_cannot_start(self, capsys, tmp_path, data_dir, command):
+        code, stdout, err = run(
+            capsys, "annotate", str(data_dir / "corpus_sample.txt"), "--oracle", f"command:{command}",
+            "-o", str(tmp_path / "ann.jsonl"), "--review", str(tmp_path / "rev.tsv"),
+        )
+        assert code == 4
+        assert stdout == ""
+        assert "oracle command" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_augment_records_is_directory(self, capsys, tmp_path, data_dir):
         (tmp_path / "rec").mkdir()
         code, _, _ = run(

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import random
 import unicodedata
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimkit.dimension import DimensionVector
-from dimkit.embeddings import TrigramHashEmbedding, WordVectorEmbedding, cosine
+from dimkit.embeddings import TrigramHashEmbedding, WordVectorEmbedding, cosine, tokenize
 from dimkit.errors import LinkingConfigError
 from dimkit import linking
 from dimkit.kb import KnowledgeBase, UnitRecord
@@ -16,10 +18,12 @@ from dimkit.linking import (
     Mention,
     candidate_generation,
     context_score,
+    levenshtein,
     link,
     mention_similarity,
 )
-from test_kb import make_record, small_kbs
+from dimkit.util import normalize_surface
+from test_kb import LEN, make_record, small_kbs
 
 # ---------------------------------------------------------------------------
 # Independent oracle: a separately coded edit distance and scorer.
@@ -155,6 +159,30 @@ def one_form(form: str) -> UnitRecord:
     return make_record("X", "Length", DimensionVector.of(L=1), 1.0, label_en=form)
 
 
+# any Unicode, or a three-letter alphabet (dense matches) at lengths
+# around and past 64, the width of one machine word
+_LEV_TEXT = st.one_of(
+    st.text(max_size=100),
+    st.text(st.sampled_from("ab\u0301"), min_size=50, max_size=100),
+)
+
+
+class TestLevenshtein:
+    @given(_LEV_TEXT, _LEV_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_and_is_symmetric(self, a, b):
+        distance = levenshtein(a, b)
+        assert distance == oracle_levenshtein(a, b)
+        assert levenshtein(b, a) == distance
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 100])
+    def test_word_boundary_lengths(self, n):
+        a = "ab" * (n // 2) + "a" * (n % 2)
+        for b in ("", a, a[1:], a[:-1] + "x", "x" + a, a[::-1], "米" * n):
+            assert levenshtein(a, b) == oracle_levenshtein(a, b), (a, b)
+            assert levenshtein(b, a) == oracle_levenshtein(a, b), (a, b)
+
+
 class TestSimilarity:
     def test_exact_symbol_match(self, kb):
         assert mention_similarity("kg", kb.unit("KiloGM")) == 1.0
@@ -233,6 +261,26 @@ class TestCandidateGeneration:
         assert ("qqqq", 0.5) in fresh.match_cache
         assert calls == []
 
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.8])
+    def test_only_surviving_forms_are_scored(self, kb, monkeypatch, threshold):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return oracle_levenshtein(a, b)
+
+        monkeypatch.setattr(linking, "levenshtein", counting)
+        fresh = dataclasses.replace(kb, match_cache={})
+        scored = 0
+        for surface, _ in random_probes(kb, 60, seed=int(threshold * 10)):
+            calls.clear()
+            candidate_generation(fresh, surface, threshold)
+            query = normalize_surface(surface)
+            survivors = linking._surviving_forms(fresh, query, threshold)
+            assert all(a == query and b in survivors for a, b in calls), surface
+            scored += len(calls)
+        assert scored > 0
+
 
 class TestContextScore:
     def test_identical_tokens_score_one(self, kb, emb):
@@ -244,9 +292,11 @@ class TestContextScore:
         assert context_score("", kb.unit("M"), emb) == 1.0
 
     def test_zero_keywords_is_config_error(self, emb, kb):
+        context_score("any", kb.unit("M"), emb)
         record = dataclasses.replace(kb.unit("M"), keywords=())
-        with pytest.raises(LinkingConfigError):
-            context_score("any", record, emb)
+        for _ in range(2):  # raised on every call, never memoized
+            with pytest.raises(LinkingConfigError):
+                context_score("any", record, emb)
 
     def test_degree_disambiguation_ordering(self, kb, emb):
         celsius, diopter = kb.unit("DEG_C"), kb.unit("DIOPTER")
@@ -254,6 +304,61 @@ class TestContextScore:
         assert context_score(ctx, celsius, emb) > context_score(ctx, diopter, emb)
         ctx = "eyeglass prescription"
         assert context_score(ctx, diopter, emb) > context_score(ctx, celsius, emb)
+
+
+class TestContextScoreBits:
+    """context_score carries the same bits as the per-pair oracle."""
+
+    @staticmethod
+    def contexts(kb):
+        probes = sorted({c for _, c in random_probes(kb, 200)})
+        return probes + ["water temperature today", "the lens of an eyeglass", "1 2 3 !"]
+
+    def assert_bit_equal(self, kb, emb):
+        for _ in range(2):  # the second pass reads the memo
+            for context in self.contexts(kb):
+                for record in kb.records.values():
+                    got = context_score(context, record, emb)
+                    assert got == oracle_context(context, record, emb), (context, record.unit_id)
+
+    def test_trigram_embedding(self, kb):
+        self.assert_bit_equal(kb, TrigramHashEmbedding())
+
+    def test_word_vectors_unnormalized_with_zero_rows(self, kb, tmp_path):
+        rng = random.Random(11)
+        words = {t for r in kb.records.values() for kw in r.keywords for t in tokenize(kw)}
+        words |= {t for c in self.contexts(kb) for t in tokenize(c)}
+        zero = {"water", "lens"}  # a context word and a keyword of DEG_C / DIOPTER
+        rows = []
+        for i, token in enumerate(sorted(words)):
+            if i % 5 == 2 and token not in zero:
+                continue  # no vector
+            values = [0.0] * 6 if token in zero else [rng.uniform(-4.0, 4.0) for _ in range(6)]
+            rows.append(" ".join([token, *map(repr, values)]))
+        path = tmp_path / "vectors.txt"
+        path.write_text(f"{len(rows)} 6\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        self.assert_bit_equal(kb, WordVectorEmbedding(path))
+
+    def test_kbs_sharing_a_unit_id_keep_their_keywords(self):
+        emb = TrigramHashEmbedding()
+        warm = make_record("X", "Length", LEN, 1.0, keywords=("water", "temperature"))
+        optic = dataclasses.replace(warm, keywords=("lens", "eyeglass"))
+        context = "water temperature today"
+        scores = []
+        for record in (warm, optic, warm, optic):
+            kb = KnowledgeBase.from_records([record])
+            score = context_score(context, kb.records["X"], emb)
+            assert score == oracle_context(context, record, emb)
+            scores.append(score)
+        assert scores[0] > scores[1]
+
+    def test_tables_do_not_keep_the_embedder_alive(self, kb):
+        emb = TrigramHashEmbedding()
+        context_score("water temperature", kb.unit("DEG_C"), emb)
+        ref = weakref.ref(emb)
+        del emb
+        gc.collect()
+        assert ref() is None
 
 
 class TestLink:
