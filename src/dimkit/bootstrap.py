@@ -26,7 +26,7 @@ from .errors import InputError
 from .kb import KnowledgeBase
 from .linking import DEFAULT_THRESHOLD
 from .quantity_text import extract_quantities
-from .util import normalize_surface, on_word_boundary, read_lines
+from .util import normalize_surface, on_word_boundary, read_rows
 
 
 @dataclass(frozen=True)
@@ -107,17 +107,15 @@ class InMemoryTripletStore:
         return sorted(self._by_predicate)
 
 
+def _triplet_row(cols: list[str]) -> Triplet:
+    if len(cols) != 3:
+        raise ValueError(f"expected 3 fields, got {len(cols)}")
+    return Triplet(*cols)
+
+
 def load_triplets(path: str | Path) -> InMemoryTripletStore:
     """TSV: subject TAB predicate TAB object, one triplet per line."""
-    triplets = []
-    for lineno, line in enumerate(read_lines(path), 1):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise InputError(f"{path}: triplet line {lineno}: expected 3 fields, got {len(cols)}")
-        triplets.append(Triplet(cols[0], cols[1], cols[2]))
-    return InMemoryTripletStore(triplets)
+    return InMemoryTripletStore(read_rows(path, _triplet_row))
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ def default_kb_path() -> Path:
     env = os.environ.get("DIMKIT_KB")
     if env:
         return Path(env)
-    return Path(str(resources.files("dimkit").joinpath("data/units.tsv")))
+    return packaged_data("units.tsv")
 
 
 def packaged_data(name: str) -> Path:

@@ -33,14 +33,6 @@ EXPONENT_MIN, EXPONENT_MAX = -12, 12
 _INDEX = {base: i for i, base in enumerate(BASES)}
 
 
-def _check_bounds(exponents: tuple[int, ...]) -> None:
-    for base, e in zip(BASES, exponents):
-        if not (EXPONENT_MIN <= e <= EXPONENT_MAX):
-            raise DimensionRangeError(
-                f"exponent {e} for base {base} outside [{EXPONENT_MIN}, {EXPONENT_MAX}]"
-            )
-
-
 @dataclass(frozen=True)
 class DimensionVector:
     """Immutable exponent vector; supports ``*``, ``/`` and ``**``."""
@@ -50,7 +42,11 @@ class DimensionVector:
     def __post_init__(self):
         if len(self.exponents) != 7 or any(not isinstance(e, int) for e in self.exponents):
             raise DimensionValidationError(f"need 7 integer exponents, got {self.exponents!r}")
-        _check_bounds(self.exponents)
+        for base, e in zip(BASES, self.exponents):
+            if not (EXPONENT_MIN <= e <= EXPONENT_MAX):
+                raise DimensionRangeError(
+                    f"exponent {e} for base {base} outside [{EXPONENT_MIN}, {EXPONENT_MAX}]"
+                )
 
     @classmethod
     def of(cls, **bases: int) -> "DimensionVector":
@@ -133,7 +129,6 @@ def parse_dimension(text: str) -> DimensionVector:
         raise DimensionParseError(f"trailing characters in {text!r}", pos)
 
     exponents, d = tuple(values[:7]), values[7]
-    _check_bounds(exponents)
     vector = DimensionVector(exponents)
     if d not in (0, 1):
         raise DimensionValidationError(f"D digit must be 0 or 1, got {d} in {text!r}")

@@ -60,13 +60,14 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 class TrigramHashEmbedding:
     """Deterministic character-trigram hashing embedder.
 
-    The default width keeps the cosine of unrelated tokens near zero, so
-    context scores of unrelated units stay comparable instead of being
-    dominated by hash-collision noise.
+    The width keeps the cosine of unrelated tokens near zero, so context
+    scores of unrelated units stay comparable instead of being dominated
+    by hash-collision noise.
     """
 
-    def __init__(self, dim: int = 512):
-        self.dim = dim
+    dim = 512
+
+    def __init__(self):
         self._cache: dict[str, np.ndarray] = {}
 
     def tokenize(self, text: str) -> list[str]:

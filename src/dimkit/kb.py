@@ -46,7 +46,7 @@ from .errors import (
     UnknownKindError,
     UnknownUnitError,
 )
-from .util import normalize_surface, read_lines
+from .util import normalize_surface, read_rows
 
 
 @dataclass(frozen=True)
@@ -257,15 +257,15 @@ class KnowledgeBase:
         )
 
 
-def _parse_record(line: str, lineno: int) -> UnitRecord:
-    cols = line.split("\t")
+def _parse_record(cols: list[str]) -> UnitRecord:
+    """One KB line's fields as a record.  A malformed line raises
+    ValueError, which read_rows reports with the file and the line; a bad
+    dimension raises KbValidationError naming the record."""
     if len(cols) not in (11, 12):
-        raise KbValidationError(
-            f"line {lineno}: expected 11 or 12 tab-separated fields, got {len(cols)}"
-        )
+        raise ValueError(f"expected 11 or 12 tab-separated fields, got {len(cols)}")
     unit_id = cols[0].strip()
     if not unit_id:
-        raise KbValidationError(f"line {lineno}: empty unit_id", field="unit_id")
+        raise ValueError("empty unit_id")
 
     def split_list(value: str) -> tuple[str, ...]:
         return tuple(part.strip() for part in value.split("|") if part.strip())
@@ -276,15 +276,6 @@ def _parse_record(line: str, lineno: int) -> UnitRecord:
         raise KbValidationError(
             f"bad dimension string {cols[9]!r}: {exc}", record_id=unit_id, field="dimension"
         ) from exc
-    try:
-        frequency = float(cols[7])
-        conversion_val = float(cols[10])
-        affine_offset = float(cols[11]) if len(cols) == 12 and cols[11].strip() else 0.0
-    except ValueError as exc:
-        raise KbValidationError(
-            f"non-numeric field: {exc}", record_id=unit_id
-        ) from exc
-
     return UnitRecord(
         unit_id=unit_id,
         label_zh=cols[1].strip(),
@@ -293,36 +284,28 @@ def _parse_record(line: str, lineno: int) -> UnitRecord:
         alias=split_list(cols[4]),
         description=cols[5].strip(),
         keywords=split_list(cols[6]),
-        frequency=frequency,
+        frequency=float(cols[7]),
         quantity_kind=cols[8].strip(),
         dimension=dim,
-        conversion_val=conversion_val,
-        affine_offset=affine_offset,
+        conversion_val=float(cols[10]),
+        affine_offset=float(cols[11]) if len(cols) == 12 and cols[11].strip() else 0.0,
     )
 
 
 def load_kb(source: str | Path) -> KnowledgeBase:
     """Load and validate a KB file.  Deterministic; an empty file yields
     an empty knowledge base."""
-    records = []
-    for lineno, line in enumerate(read_lines(source), start=1):
-        if not line.strip():
-            continue
-        records.append(_parse_record(line, lineno))
-    return KnowledgeBase.from_records(records)
+    return KnowledgeBase.from_records(read_rows(source, _parse_record))
+
+
+def _sidecar_row(cols: list[str]) -> tuple[str, tuple[float, float, float]]:
+    unit_id, gt, hs, cf = cols
+    return unit_id.strip(), (float(gt), float(hs), float(cf))
 
 
 def load_frequency_sidecar(path: str | Path) -> dict[str, tuple[float, float, float]]:
     """Read the raw (freq_gt, freq_hs, freq_cf) sidecar file."""
-    raw: dict[str, tuple[float, float, float]] = {}
-    for lineno, line in enumerate(read_lines(path), 1):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != 4:
-            raise KbValidationError(f"sidecar line {lineno}: expected 4 fields, got {len(cols)}")
-        raw[cols[0].strip()] = (float(cols[1]), float(cols[2]), float(cols[3]))
-    return raw
+    return dict(read_rows(path, _sidecar_row))
 
 
 def compute_frequency(

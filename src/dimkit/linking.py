@@ -23,6 +23,7 @@ same bits as the plain per-pair computation.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -127,6 +128,7 @@ def _admitted(sim: float, threshold: float) -> bool:
     return sim > threshold or sim == 1.0
 
 
+@functools.cache
 def _max_distance(longest: int, threshold: float) -> int:
     """Largest edit distance whose similarity at this length is admitted.
 

@@ -23,10 +23,9 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 from .embeddings import EmbeddingProvider
-from .errors import InputError
 from .kb import KnowledgeBase
 from .linking import DEFAULT_THRESHOLD, Mention, candidate_generation, link
-from .util import byte_replace, byte_slice, char_to_byte_offsets, read_lines
+from .util import byte_replace, byte_slice, char_to_byte_offsets, read_rows
 
 MASK_TOKEN = "[MASK]"
 
@@ -162,9 +161,10 @@ class CommandOracle:
     """Adapter for an external predictor: the masked sentence is written
     to the command's stdin, the prediction read from its stdout."""
 
-    def __init__(self, argv: Sequence[str], timeout: float = 30.0):
+    timeout = 30.0  # seconds per prediction
+
+    def __init__(self, argv: Sequence[str]):
         self.argv = list(argv)
-        self.timeout = timeout
 
     def predict(self, text_with_single_mask_token: str) -> str:
         proc = subprocess.run(
@@ -377,19 +377,16 @@ def review_lines(rows: Sequence[ReviewRow]) -> list[str]:
     return [f"{r.line_no}\t{r.span[0]}-{r.span[1]}\t{r.surface}\t{r.verdict}" for r in rows]
 
 
+def _review_row(cols: list[str]) -> ReviewRow:
+    try:
+        line_no, span, surface, verdict = cols
+        start, end = span.split("-")
+        return ReviewRow(int(line_no), (int(start), int(end)), surface, verdict)
+    except ValueError:
+        raise ValueError("expected LINE<TAB>START-END<TAB>SURFACE<TAB>VERDICT") from None
+
+
 def load_review(path: str | Path) -> list[ReviewRow]:
     """Rows as :func:`review_lines` writes them; a malformed line raises
     InputError naming the file and the line."""
-    rows = []
-    for lineno, line in enumerate(read_lines(path), 1):
-        if not line.strip():
-            continue
-        try:
-            line_no, span, surface, verdict = line.split("\t")
-            start, end = span.split("-")
-            rows.append(ReviewRow(int(line_no), (int(start), int(end)), surface, verdict))
-        except ValueError:
-            raise InputError(
-                f"{path}: line {lineno}: expected LINE<TAB>START-END<TAB>SURFACE<TAB>VERDICT"
-            ) from None
-    return rows
+    return read_rows(path, _review_row)

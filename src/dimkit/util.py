@@ -1,6 +1,6 @@
 """Shared helpers: surface normalization, number formatting, seeded RNG
-derivation, byte-span arithmetic, and the one reader and one writer for
-line-oriented files."""
+derivation, byte-span arithmetic, and the line-oriented file I/O: one
+reader for JSONL records, one for tab-separated rows, and one writer."""
 
 from __future__ import annotations
 
@@ -164,6 +164,24 @@ def read_records(path: str | Path, from_dict: Callable[[dict], object]) -> list:
             raise InputError(f"{where}: missing field {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
             raise InputError(f"{where}: malformed field {fields.last!r} ({exc})") from None
+    return out
+
+
+def read_rows(path: str | Path, from_fields: Callable[[list[str]], object]) -> list:
+    """One record per non-blank tab-separated line, decoded by from_fields
+    from the line's fields.
+
+    A ValueError or TypeError from from_fields raises InputError naming
+    the file and the line (counting blank lines, as read_records does).
+    """
+    out = []
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line.strip():
+            continue
+        try:
+            out.append(from_fields(line.split("\t")))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}: line {lineno}: {exc}") from None
     return out
 
 

@@ -315,6 +315,12 @@ class TestInputErrors:
                 ["annotate", "{data}/corpus_sample.txt", "--apply-review", "review.tsv"],
                 "review.tsv", 2, "START-END",
             ),
+            (["--kb", "kb_short.tsv", "convert", "1", "x", "x"], "kb_short.tsv", 1, "got 7"),
+            (
+                ["--kb", "kb_bad_frequency.tsv", "convert", "1", "x", "x"],
+                "kb_bad_frequency.tsv", 3, "'abc'",
+            ),
+            (["bootstrap", "triplets_short.tsv"], "triplets_short.tsv", 2, "3 fields"),
         ],
     )
     def test_bad_record_names_file_line_and_field(
@@ -335,7 +341,15 @@ class TestInputErrors:
         }
         for name, rows in files.items():
             (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-        (tmp_path / "review.tsv").write_text("1\t0-3\tabc\tkept:numeric\n1\t0-3\n", encoding="utf-8")
+        kb_row = "X\t\tx\t\t\t\tk\t{}\tLength\tA0E0L1I0M0H0T0D0\t1\n"
+        tsv = {
+            "review.tsv": "1\t0-3\tabc\tkept:numeric\n1\t0-3\n",
+            "kb_short.tsv": "X\t\tx\t\t\t\tk\n",
+            "kb_bad_frequency.tsv": kb_row.format("0.5") + "\n" + kb_row.format("abc"),
+            "triplets_short.tsv": "a\tb\tc\na\tb\n",
+        }
+        for name, text in tsv.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
         monkeypatch.chdir(tmp_path)
         code, _, err = run(capsys, *[a.format(data=data_dir) for a in argv])
         assert code == 4

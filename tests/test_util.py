@@ -1,8 +1,13 @@
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimkit.bootstrap import load_triplets
+from dimkit.errors import InputError
+from dimkit.kb import load_frequency_sidecar, load_kb
+from dimkit.quantity_text import load_review
 from dimkit.util import normalize_surface
 
 # ASCII letters, combining diacritics (weighted towards the marks that
@@ -32,3 +37,28 @@ class TestNormalizeSurface:
     def test_idempotent(self, text):
         once = normalize_surface(text)
         assert normalize_surface(once) == once
+
+
+_KB_ROW = "X\t\tx\t\t\t\tk\t{freq}\tLength\tA0E0L1I0M0H0T0D0\t1"
+
+
+@pytest.mark.parametrize(
+    "load,good,bad",
+    [
+        (load_kb, _KB_ROW.format(freq="0.5"), "X\t\tx\t\t\t\tk"),
+        (load_kb, _KB_ROW.format(freq="0.5"), _KB_ROW.format(freq="abc")),
+        (load_frequency_sidecar, "M\t1\t2\t3", "M\t1\t2"),
+        (load_frequency_sidecar, "M\t1\t2\t3", "M\t1\tabc\t3"),
+        (load_triplets, "a\tb\tc", "a\tb"),
+        (load_review, "1\t0-3\tabc\tkept:numeric", "1\t0-3\tabc"),
+        (load_review, "1\t0-3\tabc\tkept:numeric", "1\t0-x\tabc\tkept:numeric"),
+    ],
+    ids=["kb-fields", "kb-number", "sidecar-fields", "sidecar-number", "triplet-fields",
+         "review-fields", "review-number"],
+)
+def test_malformed_tsv_line_names_file_and_line(tmp_path, load, good, bad):
+    path = tmp_path / "input.tsv"
+    path.write_text(f"{good}\n\n{bad}\n", encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: line 3: ")
