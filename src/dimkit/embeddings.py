@@ -12,8 +12,8 @@ Two providers ship:
   is testable without model files.  Identical tokens get identical
   vectors (cosine 1); strings sharing trigrams get positive cosine.
 * :class:`WordVectorEmbedding`: loads a standard text vector file
-  ("<count> <dim>" header, then "<token> <floats>" per line) for
-  realistic use with pretrained vectors.
+  ("<count> <dim>" header, then "<token> <floats>" per line, every
+  float finite) for realistic use with pretrained vectors.
 """
 
 from __future__ import annotations
@@ -110,7 +110,10 @@ class WordVectorEmbedding:
                 token, *values = line.rstrip().split(" ")
                 if len(values) != self.dim:
                     raise ValueError(f"expected {self.dim} values, got {len(values)}")
-                self._table[token] = np.asarray([float(x) for x in values], dtype=np.float64)
+                vector = np.asarray([float(x) for x in values], dtype=np.float64)
+                if not np.isfinite(vector).all():
+                    raise ValueError("non-finite value")
+                self._table[token] = vector
         except ValueError as exc:
             raise InputError(f"{path}: line {lineno}: malformed vector file ({exc})") from None
 

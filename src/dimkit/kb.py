@@ -14,16 +14,17 @@ affine offset (finite, 0 when absent); only degree-Celsius-style units
 set it.
 
 The frequency sidecar file is ``unit_id TAB freq_gt TAB freq_hs TAB
-freq_cf`` with strictly positive raw scores.
+freq_cf`` with strictly positive raw scores, one line per unit_id.
 
 :meth:`KnowledgeBase.from_records` derives, once, the unit facts other
 modules read: indexes from a normalized surface form, an encoded
 dimension string or a kind id to sorted unit ids (``surface_index``,
 ``dimension_index``, ``kind_index``), and each record's
 ``normalized_forms`` in ``surface_forms()`` order.  The padded-bigram
-index of the normalized forms that candidate generation filters with
-(``bigram_index``) is derived once as well, on first use, so commands
-that never link do not build it.
+index of the normalized forms that candidate generation filters with,
+and each form's edit-distance bit pattern (``bigram_index``), are
+derived once as well, on first use, so commands that never link do not
+build them.
 """
 
 from __future__ import annotations
@@ -120,18 +121,28 @@ def padded_bigrams(form: str) -> Counter:
     return Counter(padded[i : i + 2] for i in range(len(padded) - 1))
 
 
+def char_masks(form: str) -> dict[str, int]:
+    """Bit-parallel pattern of form: bit i of masks[ch] is set iff
+    form[i] == ch (the Peq table of Myers' edit-distance algorithm)."""
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(form):
+        masks[ch] = masks.get(ch, 0) | 1 << i
+    return masks
+
+
 @dataclass(frozen=True)
 class BigramIndex:
     """Inverted padded-bigram index over the distinct normalized forms.
 
     Forms are bucketed by length: ``forms[m]`` lists the forms of length
     m, and ``postings[m][g]`` pairs each of them that holds bigram g with
-    its count of g.  The units owning a form are
-    ``KnowledgeBase.surface_index[form]``.
+    its count of g.  ``masks[form]`` is the form's :func:`char_masks`.
+    The units owning a form are ``KnowledgeBase.surface_index[form]``.
     """
 
     forms: dict[int, tuple[str, ...]]
     postings: dict[int, dict[str, tuple[tuple[str, int], ...]]]
+    masks: dict[str, dict[str, int]]
 
 
 @dataclass
@@ -183,6 +194,7 @@ class KnowledgeBase:
             postings={
                 m: {g: tuple(ps) for g, ps in bucket.items()} for m, bucket in postings.items()
             },
+            masks={form: char_masks(form) for form in self.surface_index},
         )
 
     @classmethod
@@ -304,8 +316,18 @@ def _sidecar_row(cols: list[str]) -> tuple[str, tuple[float, float, float]]:
 
 
 def load_frequency_sidecar(path: str | Path) -> dict[str, tuple[float, float, float]]:
-    """Read the raw (freq_gt, freq_hs, freq_cf) sidecar file."""
-    return dict(read_rows(path, _sidecar_row))
+    """Read the raw (freq_gt, freq_hs, freq_cf) sidecar file.  A repeated
+    unit_id raises InputError naming the file and the repeating line."""
+    raw: dict[str, tuple[float, float, float]] = {}
+
+    def add(cols: list[str]) -> None:
+        unit_id, triple = _sidecar_row(cols)
+        if unit_id in raw:
+            raise ValueError(f"duplicate unit_id {unit_id!r}")
+        raw[unit_id] = triple
+
+    read_rows(path, add)
+    return raw
 
 
 def compute_frequency(

@@ -12,13 +12,18 @@ mention and context are conditionally independent:
 The top-ranked candidate is the argmax of the product; the full list is
 returned sorted by descending score with deterministic tie-breaking.
 
-Both similarity kernels are exact.  Edit distances come from the
-bit-parallel algorithm of Myers (J. ACM 1999) in Hyyrö's form for
-Levenshtein distance (2003), over Python ints of any width.  Context
-scores read per-embedder tables of each unit's keyword vectors and
-norms, and are memoized per (context, unit); every cosine is still one
-``np.dot`` over the product of the two norms, so a score carries the
-same bits as the plain per-pair computation.
+Both similarity kernels are exact.  Edit distances come from one
+kernel, the bit-parallel algorithm of Myers (J. ACM 1999) in Hyyrö's
+form for Levenshtein distance (2003), over Python ints of any width.
+One pass of a KB form over a text yields its distance to every prefix
+of that text, so the prefixes of a unit window are scored in one batch
+(:func:`window_candidates`), each surviving form once per chain of
+nested prefixes.  Context scores read per-embedder tables of each
+unit's keyword vectors with their norms and nonzero supports, and are
+memoized per (context, unit); a (token, keyword) pair with disjoint
+supports is skipped, as its cosine is zero, and every other cosine is
+still one ``np.dot`` over the product of the two norms, so a score
+carries the same bits as the plain per-pair computation.
 """
 
 from __future__ import annotations
@@ -26,11 +31,11 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Sequence
 
 from .embeddings import EmbeddingProvider
 from .errors import InputError, LinkingConfigError
-from .kb import KnowledgeBase, UnitRecord, padded_bigrams
+from .kb import KnowledgeBase, UnitRecord, char_masks, padded_bigrams
 from .util import normalize_surface
 
 DEFAULT_THRESHOLD = 0.5
@@ -62,31 +67,24 @@ class LinkCandidate:
         return self.prior * self.p_mention * self.p_context
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Character-level edit distance (insert/delete/substitute).
+def _prefix_distances(pattern: dict[str, int], m: int, text: str) -> list[int]:
+    """levenshtein(form, text[:j]) for every j in 0..len(text), in one pass.
 
+    pattern is :func:`dimkit.kb.char_masks` of the form and m its length.
     Myers' bit-vector algorithm in Hyyrö's Levenshtein form: bit i of
     the vertical delta vectors pv/mv holds the +1/-1 step between rows
-    i and i + 1 of the current DP column, so one pass over b with a few
-    integer operations per character replaces the row-by-row table.
-    Python ints grow as needed, so a has no length limit.
+    i and i + 1 of the DP column of text[:j], and the last row of that
+    column is the distance of the whole form to text[:j].  Python ints
+    grow as needed, so the form has no length limit.
     """
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    peq: dict[str, int] = {}
-    bit = 1
-    for ch in a:
-        peq[ch] = peq.get(ch, 0) | bit
-        bit <<= 1
-    mask = bit - 1
-    last = bit >> 1
-    pv, mv, dist = mask, 0, len(a)
-    for ch in b:
-        eq = peq.get(ch, 0)
+    if not m:
+        return list(range(len(text) + 1))
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, dist = mask, 0, m
+    out = [dist]
+    for ch in text:
+        eq = pattern.get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
@@ -98,30 +96,33 @@ def levenshtein(a: str, b: str) -> int:
         ph = (ph << 1) | 1
         pv = ((mh << 1) | ~(xv | ph)) & mask
         mv = ph & xv
-    return dist
+        out.append(dist)
+    return out
 
 
-def _best_similarity(query: str, forms: Iterable[str]) -> float:
-    """Best similarity of the normalized query over normalized forms."""
-    best = 0.0
-    for nf in forms:
-        longest = max(len(query), len(nf))
-        if longest == 0:
-            return 1.0
-        # the edit distance is at least the length difference, so this
-        # upper-bounds the similarity; skip forms that cannot improve
-        bound = 1.0 - abs(len(query) - len(nf)) / longest
-        if bound <= best:
-            continue
-        sim = 1.0 - levenshtein(query, nf) / longest
-        if sim > best:
-            best = sim
-    return best
+def levenshtein(a: str, b: str) -> int:
+    """Character-level edit distance (insert/delete/substitute): the
+    last entry of :func:`_prefix_distances`."""
+    return _prefix_distances(char_masks(a), len(a), b)[-1]
+
+
+def _similarity(distance: int, n: int, m: int) -> float:
+    """Normalized similarity of strings of lengths n and m at this edit
+    distance; two empty strings are identical."""
+    longest = max(n, m)
+    return 1.0 if longest == 0 else 1.0 - distance / longest
 
 
 def mention_similarity(surface: str, record: UnitRecord) -> float:
     """Best similarity over all of the record's surface forms."""
-    return _best_similarity(normalize_surface(surface), record.normalized_forms)
+    query = normalize_surface(surface)
+    best = 0.0
+    for nf in record.normalized_forms:
+        # the edit distance is at least the length difference, so this
+        # upper-bounds the similarity; skip forms that cannot improve
+        if _similarity(abs(len(query) - len(nf)), len(query), len(nf)) > best:
+            best = max(best, _similarity(levenshtein(query, nf), len(query), len(nf)))
+    return best
 
 
 def _admitted(sim: float, threshold: float) -> bool:
@@ -175,6 +176,65 @@ def _surviving_forms(kb: KnowledgeBase, query: str, threshold: float) -> set[str
     return survivors
 
 
+def window_candidates(
+    kb: KnowledgeBase, surfaces: Sequence[str], threshold: float = DEFAULT_THRESHOLD
+) -> list[tuple[LinkCandidate, ...]]:
+    """:func:`candidate_generation` of each surface, in one batch.
+
+    Built for the prefixes of one text window.  The normalized queries
+    missing from ``kb.match_cache`` are grouped into chains, longest
+    first: a query joins the first chain whose head starts with it, else
+    it heads a new chain.  (Normalization can break the prefix relation
+    of raw prefixes, say when NFC composes a mark at the cut; such a
+    query simply heads its own chain.)  Each query keeps its own lossless
+    bigram filter; each form surviving for some query of a chain is run
+    once against the head, which yields its distance to every prefix of
+    the head, and so to every query of the chain.  Candidates and their
+    p_mention are then those of the one-surface scan, and every query's
+    result is stored in ``kb.match_cache``; the returned tuples are the
+    cached ones.
+    """
+    if not (0.0 < threshold <= 1.0):
+        raise InputError(f"threshold must lie in (0, 1], got {threshold}")
+    queries = [normalize_surface(s) for s in surfaces]
+    cache = kb.match_cache
+    misses = sorted(
+        (q for q in dict.fromkeys(queries) if (q, threshold) not in cache), key=len, reverse=True
+    )
+    chains: list[tuple[str, list[str]]] = []
+    for query in misses:
+        for head, members in chains:
+            if head.startswith(query):
+                members.append(query)
+                break
+        else:
+            chains.append((query, [query]))
+    masks = kb.bigram_index.masks
+    for head, members in chains:
+        survivors = {q: _surviving_forms(kb, q, threshold) for q in members}
+        distances = {
+            form: _prefix_distances(masks[form], len(form), head)
+            for form in set().union(*survivors.values())
+        }
+        for query, forms in survivors.items():
+            n = len(query)
+            owners = {unit_id for form in forms for unit_id in kb.surface_index[form]}
+            found = []
+            for unit_id, record in kb.records.items():
+                if unit_id in owners:
+                    sim = max(
+                        _similarity(distances[f][n], n, len(f))
+                        for f in record.normalized_forms
+                        if f in forms
+                    )
+                    if _admitted(sim, threshold):
+                        found.append(
+                            LinkCandidate(unit_id=unit_id, prior=record.frequency, p_mention=sim)
+                        )
+            cache[(query, threshold)] = tuple(found)
+    return [cache[(q, threshold)] for q in queries]
+
+
 def candidate_generation(
     kb: KnowledgeBase, surface: str, threshold: float = DEFAULT_THRESHOLD
 ) -> list[LinkCandidate]:
@@ -193,31 +253,30 @@ def candidate_generation(
 
     Results are memoized per knowledge base, normalized surface and
     threshold; the KB is immutable after load, so cached entries never
-    go stale.
+    go stale.  This is the one-surface call of :func:`window_candidates`.
     """
-    if not (0.0 < threshold <= 1.0):
-        raise InputError(f"threshold must lie in (0, 1], got {threshold}")
-    query = normalize_surface(surface)
-    key = (query, threshold)
-    cached = kb.match_cache.get(key)
-    if cached is None:
-        survivors = _surviving_forms(kb, query, threshold)
-        owners = {unit_id for form in survivors for unit_id in kb.surface_index[form]}
-        cached = []
-        for unit_id, record in kb.records.items():
-            if unit_id in owners:
-                sim = _best_similarity(query, (f for f in record.normalized_forms if f in survivors))
-                if _admitted(sim, threshold):
-                    cached.append(LinkCandidate(unit_id=unit_id, prior=record.frequency, p_mention=sim))
-        kb.match_cache[key] = cached
-    return list(cached)
+    return list(window_candidates(kb, (surface,), threshold)[0])
 
 
-# Per embedder, while it lives: the keyword vectors of each unit with
-# their norms, keyed by (unit_id, keywords) so that two knowledge bases
-# sharing a unit_id stay apart; the vector and norm of each context token
-# (None without a vector); and the score per (context, unit_id, keywords).
+# Per embedder, while it lives: the keyword rows of each unit, keyed by
+# (unit_id, keywords) so that two knowledge bases sharing a unit_id stay
+# apart; the row of each context token (None without a vector); and the
+# score per (context, unit_id, keywords).  A row is (vector, norm,
+# support), see _row.
 _CONTEXT_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _row(v) -> tuple:
+    """A vector with its norm and its nonzero support as an int bitmask.
+
+    Finite vectors with disjoint supports have a dot product of +-0.0.
+    A non-finite entry gets every bit (-1): inf * 0 is nan, not 0.
+    """
+    import numpy as np
+
+    finite = bool(np.isfinite(v).all())
+    support = int.from_bytes(np.packbits(v != 0, bitorder="little").tobytes(), "little")
+    return v, float(np.linalg.norm(v)), support if finite else -1
 
 
 def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> float:
@@ -227,11 +286,14 @@ def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> f
     without vectors contribute 0.  Empty context is neutral (1.0).
 
     The keyword vectors of each unit and the vector of each context
-    token are looked up and their norms taken once per embedder, and
-    scores are memoized per (context, unit).  Each cosine is
-    ``np.dot(v, k) / (na * nb)`` with the token norm na first, as in
+    token are looked up and their norms and supports taken once per
+    embedder, and scores are memoized per (context, unit).  Each cosine
+    is ``np.dot(v, k) / (na * nb)`` with the token norm na first, as in
     :func:`dimkit.embeddings.cosine`, and 0 when either norm is 0; a
     matrix product would sum in another order and change the last bits.
+    A pair with disjoint supports is not computed: its clamped cosine is
+    +-0.0, which neither wins a max of values in [0, 1] nor moves a sum,
+    so it is taken as 0.0 with the same result bits.
     """
     if not record.keywords:
         raise LinkingConfigError(f"unit {record.unit_id} has no keywords; cannot score context")
@@ -252,21 +314,21 @@ def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> f
     rows = keyword_rows.get(unit)
     if rows is None:
         vectors = (emb.vector(t) for kw in record.keywords for t in emb.tokenize(kw))
-        rows = keyword_rows[unit] = [
-            (k, float(np.linalg.norm(k))) for k in vectors if k is not None
-        ]
+        rows = keyword_rows[unit] = [_row(k) for k in vectors if k is not None]
     total = 0.0
     for token in tokens:
         if token not in token_rows:
             v = emb.vector(token)
-            token_rows[token] = None if v is None else (v, float(np.linalg.norm(v)))
+            token_rows[token] = None if v is None else _row(v)
         entry = token_rows[token]
         if entry is None or not rows:
             continue  # contributes 0
-        v, na = entry
+        v, na, sv = entry
         total += max(
-            min(max(0.0 if na == 0.0 or nb == 0.0 else float(np.dot(v, k) / (na * nb)), 0.0), 1.0)
-            for k, nb in rows
+            0.0
+            if not sv & sk or na == 0.0 or nb == 0.0
+            else min(max(float(np.dot(v, k) / (na * nb)), 0.0), 1.0)
+            for k, nb, sk in rows
         )
     score = scores[key] = total / len(tokens)
     return score

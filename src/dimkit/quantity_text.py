@@ -24,7 +24,7 @@ from typing import Iterable, Protocol, Sequence
 
 from .embeddings import EmbeddingProvider
 from .kb import KnowledgeBase
-from .linking import DEFAULT_THRESHOLD, Mention, candidate_generation, link
+from .linking import DEFAULT_THRESHOLD, Mention, candidate_generation, link, window_candidates
 from .util import byte_replace, byte_slice, char_to_byte_offsets, read_rows
 
 MASK_TOKEN = "[MASK]"
@@ -248,7 +248,8 @@ def extract_quantities(
 
     The mention boundary is the window prefix, anchored at the value's
     end, whose best candidate has the highest mention similarity (longer
-    prefix on ties), so "dyn/cm" beats "dyn" and "ml" beats "m".  Only
+    prefix on ties), so "dyn/cm" beats "dyn" and "ml" beats "m"; all
+    prefixes are scored in one :func:`window_candidates` call.  Only
     that prefix is linked, with the full sentence as context: the full
     prior x mention x context product then picks its unit.  Values whose
     window yields no candidate become bare-value mentions.
@@ -258,11 +259,11 @@ def extract_quantities(
     mentions = []
     for (vstart, vend), value in extract_values(text):
         win_char_start, window = _unit_window(text, byte_to_char[vend])
-        prefixes = dict.fromkeys(window[:end].rstrip() for end in range(1, len(window) + 1))
+        prefixes = list(dict.fromkeys(window[:end].rstrip() for end in range(1, len(window) + 1)))
         scored = [
             (max(c.p_mention for c in candidates), len(prefix), prefix)
-            for prefix in prefixes
-            if (candidates := candidate_generation(kb, prefix, threshold))
+            for prefix, candidates in zip(prefixes, window_candidates(kb, prefixes, threshold))
+            if candidates
         ]
         if not scored:
             mentions.append(QuantityMention((vstart, vend), None, value))

@@ -173,6 +173,20 @@ class TestNoOutputOnFailure:
         assert "oracle command" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_annotate_with_non_finite_vectors(self, capsys, tmp_path):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("3 2\nlength nan 1.0\nmeter 0.5 0.5\nthe inf 0\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("The length is 5 m here.\n", encoding="utf-8")
+        code, stdout, err = run(
+            capsys, "--embedder", f"vectors:{vectors}", "annotate", str(corpus),
+            "-o", str(tmp_path / "ann.jsonl"), "--review", str(tmp_path / "rev.tsv"),
+        )
+        assert code == 4
+        assert stdout == ""
+        assert f"{vectors}: line 2: " in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "vectors.txt"]
+
     def test_augment_records_is_directory(self, capsys, tmp_path, data_dir):
         (tmp_path / "rec").mkdir()
         code, _, _ = run(

@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import gc
 import random
+import struct
 import unicodedata
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -11,9 +14,9 @@ from hypothesis import strategies as st
 
 from dimkit.dimension import DimensionVector
 from dimkit.embeddings import TrigramHashEmbedding, WordVectorEmbedding, cosine, tokenize
-from dimkit.errors import LinkingConfigError
+from dimkit.errors import InputError, LinkingConfigError
 from dimkit import linking
-from dimkit.kb import KnowledgeBase, UnitRecord
+from dimkit.kb import KnowledgeBase, UnitRecord, char_masks
 from dimkit.linking import (
     Mention,
     candidate_generation,
@@ -21,6 +24,7 @@ from dimkit.linking import (
     levenshtein,
     link,
     mention_similarity,
+    window_candidates,
 )
 from dimkit.util import normalize_surface
 from test_kb import LEN, make_record, small_kbs
@@ -183,6 +187,17 @@ class TestLevenshtein:
             assert levenshtein(b, a) == oracle_levenshtein(a, b), (a, b)
 
 
+class TestPrefixDistances:
+    @given(
+        st.one_of(st.text(max_size=70), st.text(st.sampled_from("ab\u0301"), min_size=50, max_size=70)),
+        st.one_of(st.text(max_size=30), st.text(st.sampled_from("ab\u0301"), max_size=30)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_prefix_matches_oracle(self, form, text):
+        got = linking._prefix_distances(char_masks(form), len(form), text)
+        assert got == [oracle_levenshtein(form, text[:j]) for j in range(len(text) + 1)]
+
+
 class TestSimilarity:
     def test_exact_symbol_match(self, kb):
         assert mention_similarity("kg", kb.unit("KiloGM")) == 1.0
@@ -207,6 +222,22 @@ class TestSimilarity:
     @settings(max_examples=200)
     def test_matches_oracle_distance(self, a, b):
         assert mention_similarity(a, one_form(b)) == pytest.approx(oracle_similarity(a, b))
+
+
+def form_of(pattern, m):
+    """The string whose char_masks is pattern."""
+    return "".join(next(ch for ch, bits in pattern.items() if bits >> i & 1) for i in range(m))
+
+
+def counting_kernel(calls):
+    """A _prefix_distances spy: records (text, form) and answers with the oracle."""
+
+    def kernel(pattern, m, text):
+        form = form_of(pattern, m)
+        calls.append((text, form))
+        return [oracle_levenshtein(form, text[:j]) for j in range(len(text) + 1)]
+
+    return kernel
 
 
 class TestCandidateGeneration:
@@ -250,12 +281,7 @@ class TestCandidateGeneration:
 
     def test_surface_sharing_no_bigram_is_never_scored(self, kb, monkeypatch):
         calls = []
-
-        def counting(a, b):
-            calls.append((a, b))
-            return oracle_levenshtein(a, b)
-
-        monkeypatch.setattr(linking, "levenshtein", counting)
+        monkeypatch.setattr(linking, "_prefix_distances", counting_kernel(calls))
         fresh = dataclasses.replace(kb, match_cache={})
         assert candidate_generation(fresh, "qqqq", 0.5) == []
         assert ("qqqq", 0.5) in fresh.match_cache
@@ -264,12 +290,7 @@ class TestCandidateGeneration:
     @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.8])
     def test_only_surviving_forms_are_scored(self, kb, monkeypatch, threshold):
         calls = []
-
-        def counting(a, b):
-            calls.append((a, b))
-            return oracle_levenshtein(a, b)
-
-        monkeypatch.setattr(linking, "levenshtein", counting)
+        monkeypatch.setattr(linking, "_prefix_distances", counting_kernel(calls))
         fresh = dataclasses.replace(kb, match_cache={})
         scored = 0
         for surface, _ in random_probes(kb, 60, seed=int(threshold * 10)):
@@ -280,6 +301,87 @@ class TestCandidateGeneration:
             assert all(a == query and b in survivors for a, b in calls), surface
             scored += len(calls)
         assert scored > 0
+
+
+@functools.cache
+def cached_oracle_similarity(a, b):
+    return oracle_similarity(a, b)
+
+
+def oracle_candidates(kb, query, threshold):
+    """Per-prefix scan of every record with the oracle distance."""
+    out = []
+    for uid, record in kb.records.items():
+        sim = max((cached_oracle_similarity(query, f) for f in record.normalized_forms), default=0.0)
+        if sim > threshold or sim == 1.0:
+            out.append((uid, sim))
+    return out
+
+
+# a combining mark after "W" or "A" composes with it only once both are
+# in the prefix, which breaks the prefix relation of the normalized queries
+_WINDOW_TEXT = st.text(st.sampled_from(list("mkgsMKWA/°米千克度 \u0301\u030a")), max_size=8)
+_CUT = st.sampled_from(["", "  ", "\u030a", "\u0301", "W\u030a", " "])
+
+
+def windows(forms):
+    """Unit windows: random text or a KB form plus random text, with a
+    mark or double space cut in anywhere and optional trailing spaces."""
+    base = st.one_of(_WINDOW_TEXT, st.builds(str.__add__, st.sampled_from(forms), _WINDOW_TEXT))
+    return st.builds(
+        lambda w, i, cut, tail: w[:i] + cut + w[i:] + tail,
+        base, st.integers(0, 14), _CUT, st.sampled_from(["", " ", "  "]),
+    )
+
+
+class TestWindowCandidates:
+    """The batched path equals a per-prefix oracle scan, cold or warm."""
+
+    def check(self, kb, data, threshold):
+        forms = sorted({f for r in kb.records.values() for f in r.surface_forms()} | {"m"})
+        window = data.draw(windows(forms))
+        prefixes = [window[:end] for end in range(len(window) + 1)]
+        fresh = dataclasses.replace(kb, match_cache={})
+        for prefix in data.draw(st.lists(st.sampled_from(prefixes), max_size=3)):
+            candidate_generation(fresh, prefix, threshold)  # warm some entries first
+        got = window_candidates(fresh, prefixes, threshold)
+        assert len(got) == len(prefixes)
+        for prefix, candidates in zip(prefixes, got):
+            expected = oracle_candidates(fresh, normalize_surface(prefix), threshold)
+            assert pairs(candidates) == expected, prefix
+        assert set(fresh.match_cache) == {(normalize_surface(p), threshold) for p in prefixes}
+        for (query, t), candidates in fresh.match_cache.items():
+            assert pairs(candidates) == oracle_candidates(fresh, query, t), query
+
+    @given(st.data(), THRESHOLDS)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracle_on_packaged_kb(self, kb, data, threshold):
+        self.check(kb, data, threshold)
+
+    @given(small_kbs(), st.data(), THRESHOLDS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_on_small_kbs(self, kb, data, threshold):
+        self.check(kb, data, threshold)
+
+    def test_mark_at_a_cut_starts_its_own_chain(self, kb, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linking, "_prefix_distances", counting_kernel(calls))
+        fresh = dataclasses.replace(kb, match_cache={})
+        prefixes = ["W", "W\u030a", "W\u030am"]  # normalized: "w", "\u1e98", "\u1e98m"
+        window_candidates(fresh, prefixes, 0.3)
+        assert {text for text, _ in calls} == {"w", "\u1e98m"}
+        for prefix in prefixes:
+            query = normalize_surface(prefix)
+            assert pairs(fresh.match_cache[(query, 0.3)]) == oracle_candidates(fresh, query, 0.3)
+
+    def test_one_kernel_run_per_form_and_chain(self, kb, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linking, "_prefix_distances", counting_kernel(calls))
+        fresh = dataclasses.replace(kb, match_cache={})
+        window = "kilometers per"
+        window_candidates(fresh, [window[:end] for end in range(1, len(window) + 1)], 0.5)
+        assert calls and {text for text, _ in calls} == {window}
+        assert len(calls) == len(set(calls))
 
 
 class TestContextScore:
@@ -314,15 +416,122 @@ class TestContextScoreBits:
         probes = sorted({c for _, c in random_probes(kb, 200)})
         return probes + ["water temperature today", "the lens of an eyeglass", "1 2 3 !"]
 
-    def assert_bit_equal(self, kb, emb):
+    @classmethod
+    def words(cls, kb):
+        words = {t for r in kb.records.values() for kw in r.keywords for t in tokenize(kw)}
+        return sorted(words | {t for c in cls.contexts(kb) for t in tokenize(c)})
+
+    @staticmethod
+    def vector_file(tmp_path, rows, dim):
+        path = tmp_path / "vectors.txt"
+        lines = [" ".join([token, *map(repr, values)]) for token, values in rows]
+        path.write_text(f"{len(lines)} {dim}\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        return WordVectorEmbedding(path)
+
+    def assert_bit_equal(self, kb, emb, extra=()):
         for _ in range(2):  # the second pass reads the memo
-            for context in self.contexts(kb):
+            for context in [*self.contexts(kb), *extra]:
                 for record in kb.records.values():
                     got = context_score(context, record, emb)
                     assert got == oracle_context(context, record, emb), (context, record.unit_id)
 
     def test_trigram_embedding(self, kb):
         self.assert_bit_equal(kb, TrigramHashEmbedding())
+
+    def test_word_vectors_with_negative_zeros(self, kb, tmp_path):
+        rng = random.Random(5)
+        rows = []
+        for i, token in enumerate(self.words(kb)):
+            if i % 7 == 3:
+                values = [-0.0] * 4  # a zero norm
+            else:
+                values = [rng.choice([-0.0, -0.0, 0.0, rng.uniform(-2.0, 2.0)]) for _ in range(4)]
+            rows.append((token, values))
+        emb = self.vector_file(tmp_path, rows, 4)
+        assert any(np.signbit(emb.vector(t)).any() for t, _ in rows)
+        self.assert_bit_equal(kb, emb)
+
+    def test_keyword_rows_sharing_one_index(self, kb, tmp_path):
+        rng = random.Random(8)
+        rows = []
+        for token in self.words(kb):  # one or two nonzeros out of eight
+            values = [0.0] * 8
+            for j in rng.sample(range(8), rng.randint(1, 2)):
+                values[j] = rng.uniform(-3.0, 3.0)
+            rows.append((token, values))
+        emb = self.vector_file(tmp_path, rows, 8)
+        support = {t: set(np.flatnonzero(emb.vector(t))) for t, _ in rows}
+        keyword_tokens = {t for r in kb.records.values() for kw in r.keywords for t in tokenize(kw)}
+        context_tokens = {t for c in self.contexts(kb) for t in tokenize(c)}
+        assert any(
+            len(support[a] & support[b]) == 1 for a in context_tokens for b in keyword_tokens
+        )
+        self.assert_bit_equal(kb, emb)
+
+    def test_trigram_tokens_with_cancelling_hashes(self, kb):
+        emb = TrigramHashEmbedding()
+        keyword_vectors = [
+            emb.vector(t) for r in kb.records.values() for kw in r.keywords for t in tokenize(kw)
+        ]
+        tokens = ["lar", "mot", "itu", "dek"]
+        for token in tokens:  # two trigrams of the token land on one index with opposite signs
+            padded = f"^{token}$"
+            hits = {}
+            for i in range(len(padded) - 2):
+                h = zlib.crc32(padded[i : i + 3].encode("utf-8"))
+                hits.setdefault(h % emb.dim, []).append(1 if (h >> 16) & 1 else -1)
+            cancelled = [i for i, signs in hits.items() if len(signs) == 2 and sum(signs) == 0]
+            assert cancelled, token
+            assert all(emb.vector(token)[i] == 0.0 for i in cancelled)
+            assert any(k[i] != 0.0 for k in keyword_vectors for i in cancelled), token
+        self.assert_bit_equal(kb, emb, extra=[" ".join(tokens), "lar water", "dek itu mot temperature"])
+
+    def test_non_finite_vectors_are_never_pruned(self):
+        class TableEmbedding:
+            dim = 3
+
+            def tokenize(self, text):
+                return tokenize(text)
+
+            def vector(self, token):
+                return table.get(token)
+
+        inf, nan = float("inf"), float("nan")
+        table = {
+            t: np.asarray(v, dtype=np.float64)
+            for t, v in {
+                "hot": [inf, 0.0, 0.0], "cold": [0.0, 1.0, 0.0], "warm": [0.0, 0.0, 2.0],
+                "wet": [nan, 0.0, 0.0], "dry": [0.0, -inf, 0.0],
+            }.items()
+        }
+        emb = TableEmbedding()
+        contexts = ["hot", "cold hot", "warm", "wet", "dry cold", "warm wet dry"]
+        with np.errstate(all="ignore"):
+            for keywords in [("cold", "hot"), ("warm",), ("dry", "warm"), ("wet", "cold")]:
+                record = make_record("X", "Length", LEN, 1.0, keywords=keywords)
+                for context in contexts:
+                    got = context_score(context, record, emb)
+                    want = oracle_context(context, record, emb)
+                    assert struct.pack("<d", got) == struct.pack("<d", want), (keywords, context)
+
+    def test_disjoint_supports_skip_the_dot_product(self, kb, monkeypatch):
+        overlapping = []
+        real_dot = np.dot
+
+        def dot(a, b):
+            overlapping.append(bool(np.any((a != 0) & (b != 0))))
+            return real_dot(a, b)
+
+        monkeypatch.setattr(np, "dot", dot)
+        emb = TrigramHashEmbedding()
+        pairs_scored = 0
+        for context in self.contexts(kb):
+            for record in kb.records.values():
+                context_score(context, record, emb)
+                keyword_tokens = [t for kw in record.keywords for t in tokenize(kw)]
+                pairs_scored += len(tokenize(context)) * len(keyword_tokens)
+        assert overlapping and all(overlapping)
+        assert len(overlapping) < pairs_scored
 
     def test_word_vectors_unnormalized_with_zero_rows(self, kb, tmp_path):
         rng = random.Random(11)
@@ -441,6 +650,12 @@ class TestProviders:
 
     def test_vector_file_rejects_bad_rows(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("1 3\nwater 1.0 2.0\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            WordVectorEmbedding(path)
+        for text, line in [
+            ("1 3\nwater 1.0 2.0\n", 2),
+            ("3 2\nlength nan 1.0\nmeter 0.5 0.5\nthe inf 0\n", 2),  # cosine would be nan
+            ("2 2\nmeter 0.5 0.5\nthe -inf 0\n", 3),
+        ]:
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(InputError) as info:
+                WordVectorEmbedding(path)
+            assert str(info.value).startswith(f"{path}: line {line}: ")

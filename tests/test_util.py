@@ -49,11 +49,12 @@ _KB_ROW = "X\t\tx\t\t\t\tk\t{freq}\tLength\tA0E0L1I0M0H0T0D0\t1"
         (load_kb, _KB_ROW.format(freq="0.5"), _KB_ROW.format(freq="abc")),
         (load_frequency_sidecar, "M\t1\t2\t3", "M\t1\t2"),
         (load_frequency_sidecar, "M\t1\t2\t3", "M\t1\tabc\t3"),
+        (load_frequency_sidecar, "M\t1\t2\t3", "M\t4\t5\t6"),
         (load_triplets, "a\tb\tc", "a\tb"),
         (load_review, "1\t0-3\tabc\tkept:numeric", "1\t0-3\tabc"),
         (load_review, "1\t0-3\tabc\tkept:numeric", "1\t0-x\tabc\tkept:numeric"),
     ],
-    ids=["kb-fields", "kb-number", "sidecar-fields", "sidecar-number", "triplet-fields",
+    ids=["kb-fields", "kb-number", "sidecar-fields", "sidecar-number", "sidecar-duplicate", "triplet-fields",
          "review-fields", "review-number"],
 )
 def test_malformed_tsv_line_names_file_and_line(tmp_path, load, good, bad):
