@@ -10,7 +10,6 @@ import random
 
 from dimkit import (
     BootstrapConfig,
-    TrigramHashEmbedding,
     bootstrap_retrieve,
     load_kb,
     load_triplets,
@@ -19,13 +18,12 @@ from dimkit import (
 from dimkit.cli import packaged_data
 
 kb = load_kb(packaged_data("units.tsv"))
-emb = TrigramHashEmbedding()
 store = load_triplets(packaged_data("triplets.tsv"))
 print(f"store: {len(store)} triplets, predicates: {store.all_predicates()}")
 
 for iterations in (0, 1, 5):
     result = bootstrap_retrieve(
-        store, kb, BootstrapConfig(tau=0.8, iterations=iterations, seed_unit_count=10), emb
+        store, kb, BootstrapConfig(tau=0.8, iterations=iterations, seed_unit_count=10)
     )
     print(f"\niterations={iterations}: retrieved {len(result.triplets)} triplets")
     print("  surviving predicates:", sorted(result.predicates) or "(none yet)")
@@ -36,7 +34,7 @@ for iterations in (0, 1, 5):
 # filtered out; their quantity-bearing objects remain reachable through
 # the mention set.
 
-result = bootstrap_retrieve(store, kb, BootstrapConfig(0.8, 5, 10), emb)
+result = bootstrap_retrieve(store, kb, BootstrapConfig(0.8, 5, 10))
 print("\nsample retrieved triplets rendered as sentences:")
 rng = random.Random(0)
 for t in result.triplets[:5]:

@@ -72,6 +72,7 @@ from .quantity_text import (
     extract_quantities,
     extract_values,
     rule_annotate,
+    value_units,
 )
 from .scoring import (
     Prediction,

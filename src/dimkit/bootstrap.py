@@ -12,20 +12,23 @@ fixed number of iterations:
 The mention set is seeded with the surface forms of the
 highest-frequency units.  After the final iteration all triplets
 reachable through either set are returned.
+
+Objects are judged by their unit surfaces alone (see
+:func:`bootstrap_retrieve`), so bootstrapping never embeds.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from .embeddings import EmbeddingProvider, TrigramHashEmbedding
 from .errors import InputError
 from .kb import KnowledgeBase
 from .linking import DEFAULT_THRESHOLD
-from .quantity_text import extract_quantities
+from .quantity_text import value_units
 from .util import normalize_surface, on_word_boundary, read_rows
 
 
@@ -150,26 +153,30 @@ def bootstrap_retrieve(
     store: TripletStore,
     kb: KnowledgeBase,
     config: BootstrapConfig = BootstrapConfig(),
-    emb: EmbeddingProvider | None = None,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> BootstrapResult:
-    emb = emb or TrigramHashEmbedding()
-    quantity_cache: dict[str, list] = {}
+    """Run the bootstrap loop over `store`.
 
-    def mentions_of(obj: str):
-        if obj not in quantity_cache:
-            quantity_cache[obj] = extract_quantities(obj, kb, emb, threshold)
-        return quantity_cache[obj]
+    An object is a quantity iff :func:`value_units` finds a unit surface
+    in it, and its mentions are those surfaces, normalized.  These are
+    exactly the mentions :func:`extract_quantities` links: a surface has
+    candidates, and context scoring reorders them but never drops one
+    (every KB unit has keywords).  So the result does not depend on an
+    embedder, and none is used.  Surfaces are memoized per distinct
+    object, and each predicate's quantity ratio and surfaces per run.
+    """
+    @functools.cache
+    def unit_surfaces(obj: str) -> frozenset[str]:
+        units = value_units(obj, kb, threshold)
+        return frozenset(normalize_surface(s) for _, _, _, s in units if s is not None)
 
-    def is_quantity(obj: str) -> bool:
-        return any(m.linked_unit is not None for m in mentions_of(obj))
-
-    def unit_surfaces(obj: str) -> set[str]:
-        return {
-            normalize_surface(m.unit_surface)
-            for m in mentions_of(obj)
-            if m.linked_unit is not None
-        }
+    @functools.cache
+    def predicate_stats(predicate: str) -> tuple[float, frozenset[str]]:
+        """(quantity ratio, unit surfaces) of a predicate's objects."""
+        triplets = store.triplets_with_predicate(predicate)
+        objects = [unit_surfaces(t.obj) for t in triplets]
+        ratio = sum(1 for s in objects if s) / len(triplets) if triplets else 0.0
+        return ratio, frozenset().union(*objects)
 
     mentions: frozenset[str] = seed_mentions(kb, config.seed_unit_count)
     predicates: frozenset[str] = frozenset()
@@ -180,21 +187,9 @@ def bootstrap_retrieve(
         for mention in sorted(mentions):
             found.update(t.predicate for t in store.triplets_with_object_containing(mention))
         # Step 2: keep predicates whose quantity ratio reaches tau.
-        survivors: set[str] = set()
-        for predicate in sorted(found):
-            triplets = store.triplets_with_predicate(predicate)
-            if not triplets:
-                continue
-            ratio = sum(1 for t in triplets if is_quantity(t.obj)) / len(triplets)
-            if ratio >= config.tau:
-                survivors.add(predicate)
-        predicates = frozenset(survivors)
+        predicates = frozenset(p for p in found if predicate_stats(p)[0] >= config.tau)
         # Step 3: rebuild the mention set from the survivors' objects.
-        rebuilt: set[str] = set()
-        for predicate in sorted(predicates):
-            for t in store.triplets_with_predicate(predicate):
-                rebuilt.update(unit_surfaces(t.obj))
-        mentions = frozenset(rebuilt)
+        mentions = frozenset().union(*(predicate_stats(p)[1] for p in predicates))
 
     retrieved = []
     for mention in sorted(mentions):

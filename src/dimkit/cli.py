@@ -179,7 +179,6 @@ def cmd_dim(args) -> int:
 
 def cmd_gen_tasks(args) -> int:
     kb = _load_kb(args)
-    emb = _embedder(args.embedder)
     wanted = list(tasks.TASK_TYPES) if args.task_type == "all" else [args.task_type]
 
     options = {"dimension_arithmetic": {"max_terms": args.max_terms}}
@@ -188,6 +187,7 @@ def cmd_gen_tasks(args) -> int:
             annotated = read_records(args.annotated, qt.AnnotatedSentence.from_dict)
         else:
             corpus = read_lines(packaged_data("corpus_sample.txt"))
+            emb = _embedder(args.embedder)
             annotated, _ = qt.annotate_corpus(corpus, kb, emb, qt.ConstantOracle("5"), args.threshold)
         options["dimension_prediction"] = {"annotated": annotated}
 
@@ -221,12 +221,11 @@ def cmd_annotate(args) -> int:
 
 def cmd_bootstrap(args) -> int:
     kb = _load_kb(args)
-    emb = _embedder(args.embedder)
     store = bootstrap_mod.load_triplets(args.store)
     config = bootstrap_mod.BootstrapConfig(
         tau=args.tau, iterations=args.iters, seed_unit_count=args.seed_units
     )
-    result = bootstrap_mod.bootstrap_retrieve(store, kb, config, emb, args.threshold)
+    result = bootstrap_mod.bootstrap_retrieve(store, kb, config, args.threshold)
     payload = json.dumps(
         {
             "triplets": [[t.subject, t.predicate, t.obj] for t in result.triplets],

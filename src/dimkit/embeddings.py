@@ -12,8 +12,8 @@ Two providers ship:
   is testable without model files.  Identical tokens get identical
   vectors (cosine 1); strings sharing trigrams get positive cosine.
 * :class:`WordVectorEmbedding`: loads a standard text vector file
-  ("<count> <dim>" header, then "<token> <floats>" per line, every
-  float finite) for realistic use with pretrained vectors.
+  ("<count> <dim>" header, then exactly <count> "<token> <floats>"
+  lines, every float finite) for realistic use with pretrained vectors.
 """
 
 from __future__ import annotations
@@ -106,7 +106,9 @@ class WordVectorEmbedding:
         try:
             header, *rows = lines or [""]
             count, self.dim = map(int, header.split())
-            for lineno, line in enumerate(rows[:count], 2):
+            if count != len(rows):
+                raise ValueError(f"header declares {count} vectors, file has {len(rows)}")
+            for lineno, line in enumerate(rows, 2):
                 token, *values = line.rstrip().split(" ")
                 if len(values) != self.dim:
                     raise ValueError(f"expected {self.dim} values, got {len(values)}")

@@ -237,6 +237,40 @@ def _unit_window(text: str, char_start: int) -> tuple[int, str]:
     return i, "".join(chars)
 
 
+def value_units(
+    text: str, kb: KnowledgeBase, threshold: float = DEFAULT_THRESHOLD
+) -> list[tuple[tuple[int, int], float, tuple[int, int] | None, str | None]]:
+    """Each extracted value with the unit surface its window offers.
+
+    Returns (value byte span, value, unit byte span, unit surface) per
+    value of :func:`extract_values`; the last two are None when no
+    window prefix has a candidate.  The surface is the window prefix,
+    anchored at the value's end, whose best candidate has the highest
+    mention similarity (longer prefix on ties), so "dyn/cm" beats "dyn"
+    and "ml" beats "m"; all prefixes are scored in one
+    :func:`window_candidates` call.  No context is read: which unit the
+    surface links to is left to :func:`extract_quantities`.
+    """
+    to_byte = char_to_byte_offsets(text)
+    byte_to_char = {b: c for c, b in enumerate(to_byte)}
+    out = []
+    for value_span, value in extract_values(text):
+        win_char_start, window = _unit_window(text, byte_to_char[value_span[1]])
+        prefixes = list(dict.fromkeys(window[:end].rstrip() for end in range(1, len(window) + 1)))
+        scored = [
+            (max(c.p_mention for c in candidates), len(prefix), prefix)
+            for prefix, candidates in zip(prefixes, window_candidates(kb, prefixes, threshold))
+            if candidates
+        ]
+        if not scored:
+            out.append((value_span, value, None, None))
+            continue
+        _, plen, prefix = max(scored)
+        unit_span = (to_byte[win_char_start], to_byte[win_char_start + plen])
+        out.append((value_span, value, unit_span, prefix))
+    return out
+
+
 def extract_quantities(
     text: str,
     kb: KnowledgeBase,
@@ -246,36 +280,23 @@ def extract_quantities(
     """Rule-stage quantity detection: each extracted value plus the unit
     read off the window that follows it.
 
-    The mention boundary is the window prefix, anchored at the value's
-    end, whose best candidate has the highest mention similarity (longer
-    prefix on ties), so "dyn/cm" beats "dyn" and "ml" beats "m"; all
-    prefixes are scored in one :func:`window_candidates` call.  Only
-    that prefix is linked, with the full sentence as context: the full
-    prior x mention x context product then picks its unit.  Values whose
-    window yields no candidate become bare-value mentions.
+    The mention boundary is the unit surface of :func:`value_units`.
+    Only that surface is linked, with the full sentence as context: the
+    full prior x mention x context product then picks its unit.  Values
+    without a unit surface become bare-value mentions.
     """
-    to_byte = char_to_byte_offsets(text)
-    byte_to_char = {b: c for c, b in enumerate(to_byte)}
     mentions = []
-    for (vstart, vend), value in extract_values(text):
-        win_char_start, window = _unit_window(text, byte_to_char[vend])
-        prefixes = list(dict.fromkeys(window[:end].rstrip() for end in range(1, len(window) + 1)))
-        scored = [
-            (max(c.p_mention for c in candidates), len(prefix), prefix)
-            for prefix, candidates in zip(prefixes, window_candidates(kb, prefixes, threshold))
-            if candidates
-        ]
-        if not scored:
-            mentions.append(QuantityMention((vstart, vend), None, value))
+    for value_span, value, unit_span, surface in value_units(text, kb, threshold):
+        if surface is None:
+            mentions.append(QuantityMention(value_span, None, value))
             continue
-        _, plen, prefix = max(scored)
-        top = link(kb, Mention(prefix, context=text), emb, threshold)[0]
+        top = link(kb, Mention(surface, context=text), emb, threshold)[0]
         mentions.append(
             QuantityMention(
-                value_span=(vstart, vend),
-                unit_span=(to_byte[win_char_start], to_byte[win_char_start + plen]),
+                value_span=value_span,
+                unit_span=unit_span,
                 value=value,
-                unit_surface=prefix,
+                unit_surface=surface,
                 linked_unit=top.unit_id,
                 link_score=top.score,
             )

@@ -163,7 +163,7 @@ def test_criterion_08_bootstrap_fixed_point(kb, emb, data_dir):
     store = load_triplets(data_dir / "triplets.tsv")
     assert len(store) == 200
     config = BootstrapConfig(tau=0.8, iterations=5, seed_unit_count=10)
-    result = bootstrap_retrieve(store, kb, config, emb, 0.5)
+    result = bootstrap_retrieve(store, kb, config, 0.5)
     o_triplets, o_predicates, o_mentions = oracle_bootstrap(store, kb, config, emb, 0.5)
     assert set(result.triplets) == o_triplets
     assert set(result.predicates) == o_predicates

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimkit import linking, quantity_text
 from dimkit.bootstrap import (
     BootstrapConfig,
     InMemoryTripletStore,
@@ -17,6 +18,7 @@ from dimkit.bootstrap import (
 )
 from dimkit.quantity_text import extract_quantities
 from dimkit.util import normalize_surface
+from test_kb import small_kbs
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +143,23 @@ def _store_and_mentions(draw):
     return triplets, mentions
 
 
+@st.composite
+def _small_kb_and_store(draw):
+    """A random small KB and a store whose objects glue numbers to its
+    forms (or to words it lacks), so some predicates are quantity-rich."""
+    kb = draw(small_kbs())
+    forms = sorted({f for r in kb.records.values() for f in r.surface_forms()})
+    objects = st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["", "3", "2.5", "1,200", "-4", "7%"]),
+        st.sampled_from(["", " "]),
+        st.sampled_from(["", "red", "Model T", *forms]),
+    )
+    pool = draw(st.lists(objects, min_size=1, max_size=8))
+    triplet = st.builds(Triplet, st.sampled_from("st"), st.sampled_from("pqr"), st.sampled_from(pool))
+    return kb, InMemoryTripletStore(draw(st.lists(triplet, max_size=30)))
+
+
 def synthesized_store(size=2000, seed=3):
     """`size` triplets with fresh subjects over 50 distinct objects: ten
     predicates whose share of non-quantity objects rises from 0 to 45%."""
@@ -185,7 +204,7 @@ class TestStoreIndex:
         store = synthesized_store()
         assert len(store) == 2000 and len({t.obj for t in store.triplets}) == 50
         config = BootstrapConfig(tau=0.8, iterations=5, seed_unit_count=10)
-        result = bootstrap_retrieve(store, kb, config, emb, 0.5)
+        result = bootstrap_retrieve(store, kb, config, 0.5)
         o_triplets, o_predicates, o_mentions = oracle_bootstrap(store, kb, config, emb, 0.5)
         assert set(result.triplets) == o_triplets
         assert set(result.predicates) == o_predicates
@@ -200,34 +219,34 @@ class TestBootstrap:
         expected = {normalize_surface(f) for r in top3 for f in r.surface_forms()}
         assert mentions == expected
 
-    def test_high_ratio_predicate_retained(self, kb, emb):
+    def test_high_ratio_predicate_retained(self, kb):
         # 9 of 10 objects are quantities; tau = 0.8 keeps the predicate
         triplets = [Triplet(f"s{i}", "height", f"{150 + i} cm") for i in range(9)]
         triplets.append(Triplet("s9", "height", "unknown"))
         triplets.append(Triplet("x", "color", "red"))
         store = InMemoryTripletStore(triplets)
-        result = bootstrap_retrieve(store, kb, BootstrapConfig(0.8, 1, 5), emb, 0.5)
+        result = bootstrap_retrieve(store, kb, BootstrapConfig(0.8, 1, 5), 0.5)
         assert result.predicates == {"height"}
 
-    def test_strict_tau_drops_on_single_nonquantity(self, kb, emb):
+    def test_strict_tau_drops_on_single_nonquantity(self, kb):
         triplets = [Triplet(f"s{i}", "height", f"{150 + i} cm") for i in range(9)]
         triplets.append(Triplet("s9", "height", "unknown"))
         store = InMemoryTripletStore(triplets)
-        result = bootstrap_retrieve(store, kb, BootstrapConfig(1.0, 1, 5), emb, 0.5)
+        result = bootstrap_retrieve(store, kb, BootstrapConfig(1.0, 1, 5), 0.5)
         assert result.predicates == set()
 
-    def test_zero_iterations_is_seed_retrieval(self, kb, emb, store):
-        result = bootstrap_retrieve(store, kb, BootstrapConfig(0.8, 0, 10), emb, 0.5)
+    def test_zero_iterations_is_seed_retrieval(self, kb, store):
+        result = bootstrap_retrieve(store, kb, BootstrapConfig(0.8, 0, 10), 0.5)
         assert result.predicates == frozenset()
         assert result.mentions == seed_mentions(kb, 10)
         for t in result.triplets:
             assert any(object_contains(t.obj, m) for m in result.mentions)
 
-    def test_monotone_growth_over_iterations(self, kb, emb, store):
+    def test_monotone_growth_over_iterations(self, kb, store):
         previous = None
         for iterations in range(6):
             result = bootstrap_retrieve(
-                store, kb, BootstrapConfig(0.8, iterations, 10), emb, 0.5
+                store, kb, BootstrapConfig(0.8, iterations, 10), 0.5
             )
             current = set(result.triplets)
             if previous is not None:
@@ -236,14 +255,42 @@ class TestBootstrap:
 
     def test_matches_naive_oracle_on_shipped_store(self, kb, emb, store):
         config = BootstrapConfig(tau=0.8, iterations=5, seed_unit_count=10)
-        result = bootstrap_retrieve(store, kb, config, emb, 0.5)
+        result = bootstrap_retrieve(store, kb, config, 0.5)
         o_triplets, o_predicates, o_mentions = oracle_bootstrap(store, kb, config, emb, 0.5)
         assert set(result.triplets) == o_triplets
         assert set(result.predicates) == o_predicates
         assert set(result.mentions) == o_mentions
 
-    def test_expected_shipped_dynamics(self, kb, emb, store):
-        result = bootstrap_retrieve(store, kb, BootstrapConfig(0.8, 5, 10), emb, 0.5)
+    @given(
+        _small_kb_and_store(),
+        st.sampled_from([0.5, 0.8, 1.0]),
+        st.integers(0, 3),
+        st.integers(1, 3),
+        st.sampled_from([0.3, 0.5, 0.8, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_on_small_kbs(self, emb, case, tau, iterations, seed_units, threshold):
+        kb, store = case
+        config = BootstrapConfig(tau, iterations, seed_units)
+        result = bootstrap_retrieve(store, kb, config, threshold)
+        expected = oracle_bootstrap(store, kb, config, emb, threshold)
+        assert (set(result.triplets), result.predicates, result.mentions) == expected
+
+    def test_never_links_or_scores_context(self, kb, emb, store, monkeypatch):
+        config = BootstrapConfig(tau=0.8, iterations=5, seed_unit_count=10)
+        expected = oracle_bootstrap(store, kb, config, emb, 0.5)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("bootstrap reached context linking")
+
+        monkeypatch.setattr(linking, "link", fail)
+        monkeypatch.setattr(quantity_text, "link", fail)
+        monkeypatch.setattr(linking, "context_score", fail)
+        result = bootstrap_retrieve(store, kb, config, 0.5)
+        assert (set(result.triplets), result.predicates, result.mentions) == expected
+
+    def test_expected_shipped_dynamics(self, kb, store):
+        result = bootstrap_retrieve(store, kb, BootstrapConfig(0.8, 5, 10), 0.5)
         # quantity-rich predicates survive; sparse/noisy ones are filtered
         assert {"height", "weight", "duration", "distance"} <= result.predicates
         assert "capacity" not in result.predicates  # 7/10 < tau

@@ -281,7 +281,7 @@ class TestInputErrors:
         ],
     )
     def test_exit_4_without_traceback(self, capsys, tmp_path, data_dir, argv):
-        (tmp_path / "vectors.txt").write_text("2 3\nwater 1.0 x 0.0\n", encoding="utf-8")
+        (tmp_path / "vectors.txt").write_text("1 3\nwater 1.0 x 0.0\n", encoding="utf-8")
         (tmp_path / "triplets.tsv").write_text("a\tb\n", encoding="utf-8")
         (tmp_path / "bad.jsonl").write_text('{"id": "a"}\n{"id": 1\n', encoding="utf-8")
         problem = (
@@ -545,9 +545,17 @@ class TestUsageAndEnvironment:
 
 class TestStartup:
     @pytest.mark.parametrize(
-        "argv", [["convert", "1", "meter", "centimeter"], ["gen-tasks", "kind_match", "-n", "5"]]
+        "argv",
+        [
+            ["convert", "1", "meter", "centimeter"],
+            ["gen-tasks", "kind_match", "-n", "5"],
+            ["--embedder", "vectors:{tmp}/vectors.txt", "gen-tasks", "kind_match", "-n", "5"],
+            ["bootstrap", "{data}/triplets.tsv", "-o", "{tmp}/retrieved.json"],
+        ],
     )
-    def test_command_without_embedding_skips_numpy(self, argv):
+    def test_command_without_embedding_skips_numpy(self, argv, tmp_path, data_dir):
+        (tmp_path / "vectors.txt").write_text("1 2\nmeter 0.5 0.5\n", encoding="utf-8")
+        argv = [a.format(data=data_dir, tmp=tmp_path) for a in argv]
         script = (
             "import sys\n"
             "from dimkit.cli import main\n"

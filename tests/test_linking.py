@@ -654,6 +654,9 @@ class TestProviders:
             ("1 3\nwater 1.0 2.0\n", 2),
             ("3 2\nlength nan 1.0\nmeter 0.5 0.5\nthe inf 0\n", 2),  # cosine would be nan
             ("2 2\nmeter 0.5 0.5\nthe -inf 0\n", 3),
+            ("3 2\nmeter 0.5 0.5\n", 1),  # fewer rows than the header declares
+            ("1 2\nmeter 0.5 0.5\nlength 1 0\n", 1),  # more rows: length would be dropped
+            ("1 2\n", 1),
         ]:
             path.write_text(text, encoding="utf-8")
             with pytest.raises(InputError) as info:

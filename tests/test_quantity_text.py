@@ -21,8 +21,10 @@ from dimkit.quantity_text import (
     load_review,
     review_lines,
     rule_annotate,
+    value_units,
 )
 from dimkit.util import byte_slice, char_to_byte_offsets, jsonl_lines, read_lines, read_records, write_lines
+from test_kb import small_kbs
 
 
 def linking_every_prefix(text, kb, emb, threshold=0.5):
@@ -122,6 +124,24 @@ class TestExtractValues:
         assert not is_numeric_literal("five")
         assert not is_numeric_literal("")
         assert not is_numeric_literal("5 meters")
+
+
+class TestValueUnits:
+    @given(small_kbs(), st.data(), st.sampled_from([0.3, 0.5, 0.8, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_surfaces_are_those_extract_quantities_links(self, emb, kb, data, threshold):
+        forms = sorted({f for r in kb.records.values() for f in r.surface_forms()})
+        pieces = st.sampled_from(["3", "2.5", "1,200", "-4", "7%", " ", "x", "/", *forms])
+        text = "".join(data.draw(st.lists(pieces, max_size=8)))
+        got = value_units(text, kb, threshold)
+        reference = linking_every_prefix(text, kb, emb, threshold)
+        assert got == [(v, x, span, prefix or None) for v, span, x, prefix, _, _ in reference]
+        mentions = extract_quantities(text, kb, emb, threshold)
+        assert len(mentions) == len(got)
+        for (_, _, unit_span, surface), m in zip(got, mentions):
+            # a surface always links: context scoring never empties its candidates
+            assert (surface is not None) == (m.linked_unit is not None)
+            assert (unit_span, surface or "") == (m.unit_span, m.unit_surface)
 
 
 class TestExtractQuantities:
