@@ -30,13 +30,13 @@ import shutil
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import bootstrap as bootstrap_mod
-from . import mwp as mwp_mod
-from . import quantity_text as qt
-from . import scoring, tasks
+# Each command imports the modules only it runs (mwp, bootstrap,
+# quantity_text, scoring, the embedders), so convert, dim and gen-tasks
+# without annotation never load them.
+from . import tasks
 from .dimension import format_symbolic
-from .embeddings import TrigramHashEmbedding, WordVectorEmbedding
 from .errors import (
     AugmentationError,
     DimkitError,
@@ -45,9 +45,12 @@ from .errors import (
     InputError,
     UnitResolutionError,
 )
-from .kb import KnowledgeBase, conversion_factor, load_kb, lookup_surface, units_of_dimension
-from .linking import DEFAULT_THRESHOLD, Mention, link
+from .kb import KnowledgeBase, conversion_factor, load_kb, lookup_surface
+from .linking import DEFAULT_THRESHOLD, Mention, candidate_generation, link, rank_key
 from .util import derive_rng, format_number, jsonl_lines, read_lines, read_records, write_lines
+
+if TYPE_CHECKING:
+    from .quantity_text import MaskedFillOracle
 
 EXIT_OK = 0
 EXIT_EMPTY = 1
@@ -81,14 +84,16 @@ def _load_kb(args) -> KnowledgeBase:
 
 
 def _embedder(spec: str):
+    from .embeddings import TrigramHashEmbedding, WordVectorEmbedding
+
     if spec == "trigram":
         return TrigramHashEmbedding()
-    if spec.startswith("vectors:"):
-        return WordVectorEmbedding(spec.split(":", 1)[1])
-    raise DimkitError(f"unknown embedder spec {spec!r} (use 'trigram' or 'vectors:PATH')")
+    return WordVectorEmbedding(spec.split(":", 1)[1])  # main checked the spec
 
 
-def _oracle(spec: str) -> qt.MaskedFillOracle:
+def _oracle(spec: str) -> MaskedFillOracle:
+    from . import quantity_text as qt
+
     if spec.startswith("constant:"):
         return qt.ConstantOracle(spec.split(":", 1)[1])
     if spec.startswith("command:"):
@@ -106,14 +111,19 @@ def _oracle(spec: str) -> qt.MaskedFillOracle:
     raise DimkitError(f"unknown oracle spec {spec!r} (use 'constant:TOKEN' or 'command:CMD')")
 
 
-def _resolve_unit(kb, emb, surface: str, threshold: float) -> str:
+def _resolve_unit(kb, surface: str, threshold: float) -> str:
+    """The unit a context-free surface names: its one exact owner, else
+    the top of :func:`link`'s ranking.  Without context every context
+    score is 1.0, so that ranking needs no embedder: it is
+    candidate_generation's output under link's own key."""
     exact = sorted(lookup_surface(kb, surface))
     if len(exact) == 1:
         return exact[0]
-    ranked = link(kb, Mention(surface), emb, threshold)
-    if ranked:
-        return ranked[0].unit_id
-    raise UnitResolutionError(f"cannot resolve unit {surface!r}")
+    mention = Mention(surface)  # rejects an empty surface
+    best = min(candidate_generation(kb, mention.surface, threshold), key=rank_key, default=None)
+    if best is None:
+        raise UnitResolutionError(f"cannot resolve unit {surface!r}")
+    return best.unit_id
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +134,8 @@ def cmd_convert(args) -> int:
     if not math.isfinite(args.value):
         raise InputError(f"value must be finite, got {args.value}")
     kb = _load_kb(args)
-    emb = _embedder(args.embedder)
-    u1 = _resolve_unit(kb, emb, args.from_unit, args.threshold)
-    u2 = _resolve_unit(kb, emb, args.to_unit, args.threshold)
+    u1 = _resolve_unit(kb, args.from_unit, args.threshold)
+    u2 = _resolve_unit(kb, args.to_unit, args.threshold)
     try:
         beta = conversion_factor(kb, u1, u2)
     except IncomparableUnitsError as exc:
@@ -158,7 +167,6 @@ def cmd_link(args) -> int:
 
 def cmd_dim(args) -> int:
     kb = _load_kb(args)
-    emb = _embedder(args.embedder)
     import re as _re
 
     parts = [p for p in _re.split(r"\s*([*/×÷])\s*", args.expression.strip()) if p]
@@ -166,10 +174,10 @@ def cmd_dim(args) -> int:
     if not terms or len(ops) != len(terms) - 1:
         print(f"error: cannot parse expression {args.expression!r}", file=sys.stderr)
         return EXIT_USAGE
-    unit_ids = [_resolve_unit(kb, emb, t, args.threshold) for t in terms]
+    unit_ids = [_resolve_unit(kb, t, args.threshold) for t in terms]
     dim = tasks.expression_dimension(kb, unit_ids, ops)
     print(format_symbolic(dim))
-    matches = sorted(units_of_dimension(kb, dim))
+    matches = kb.units_with_dimension(dim)
     if matches:
         print("matching units: " + ", ".join(f"{u} ({kb.unit(u).label_en})" for u in matches))
     else:
@@ -183,6 +191,8 @@ def cmd_gen_tasks(args) -> int:
 
     options = {"dimension_arithmetic": {"max_terms": args.max_terms}}
     if "dimension_prediction" in wanted:
+        from . import quantity_text as qt
+
         if args.annotated:
             annotated = read_records(args.annotated, qt.AnnotatedSentence.from_dict)
         else:
@@ -201,6 +211,8 @@ def cmd_gen_tasks(args) -> int:
 
 
 def cmd_annotate(args) -> int:
+    from . import quantity_text as qt
+
     kb = _load_kb(args)
     emb = _embedder(args.embedder)
     corpus = read_lines(args.corpus)
@@ -220,6 +232,8 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
+    from . import bootstrap as bootstrap_mod
+
     kb = _load_kb(args)
     store = bootstrap_mod.load_triplets(args.store)
     config = bootstrap_mod.BootstrapConfig(
@@ -240,6 +254,8 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    from . import mwp as mwp_mod
+
     kb = _load_kb(args)
     emb = _embedder(args.embedder)
     problems = mwp_mod.load_problems(args.dataset)
@@ -260,6 +276,9 @@ def cmd_augment(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from . import quantity_text as qt
+    from . import scoring
+
     codec = None  # the first record decides the gold file's kind
 
     def decode(d: dict):
@@ -374,8 +393,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0.0 < args.threshold <= 1.0:  # checked here: some commands never generate candidates
+        # checked here: some commands never generate candidates or build an embedder
+        if not 0.0 < args.threshold <= 1.0:
             raise InputError(f"threshold must lie in (0, 1], got {args.threshold}")
+        if args.embedder != "trigram" and not args.embedder.startswith("vectors:"):
+            raise InputError(
+                f"unknown embedder spec {args.embedder!r} (use 'trigram' or 'vectors:PATH')"
+            )
         return args.func(args)
     except (GenerationError, AugmentationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -180,6 +180,10 @@ class KnowledgeBase:
         self.kind(kind_id)
         return self.kind_index[kind_id]
 
+    def units_with_dimension(self, dv: DimensionVector) -> tuple[str, ...]:
+        """Ids of the units whose dimension equals dv, sorted."""
+        return self.dimension_index.get(format_dimension(dv), ())
+
     @cached_property
     def bigram_index(self) -> BigramIndex:
         forms: dict[int, list[str]] = {}
@@ -396,4 +400,4 @@ def lookup_surface(kb: KnowledgeBase, form: str) -> frozenset[str]:
 
 def units_of_dimension(kb: KnowledgeBase, dv: DimensionVector) -> frozenset[str]:
     """All and only units whose dimension equals dv."""
-    return frozenset(kb.dimension_index.get(format_dimension(dv), ()))
+    return frozenset(kb.units_with_dimension(dv))

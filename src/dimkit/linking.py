@@ -31,12 +31,14 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .embeddings import EmbeddingProvider
 from .errors import InputError, LinkingConfigError
 from .kb import KnowledgeBase, UnitRecord, char_masks, padded_bigrams
 from .util import normalize_surface
+
+if TYPE_CHECKING:
+    from .embeddings import EmbeddingProvider
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -65,6 +67,12 @@ class LinkCandidate:
     @property
     def score(self) -> float:
         return self.prior * self.p_mention * self.p_context
+
+
+def rank_key(c: LinkCandidate) -> tuple:
+    """Sort key of :func:`link`: descending score, then higher prior,
+    then unit_id."""
+    return (-c.score, -c.prior, c.unit_id)
 
 
 def _prefix_distances(pattern: dict[str, int], m: int, text: str) -> list[int]:
@@ -351,5 +359,5 @@ def link(
         replace(c, p_context=context_score(mention.context, kb.records[c.unit_id], emb))
         for c in candidates
     ]
-    scored.sort(key=lambda c: (-c.score, -c.prior, c.unit_id))
+    scored.sort(key=rank_key)
     return scored

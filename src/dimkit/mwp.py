@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 from .embeddings import EmbeddingProvider, TrigramHashEmbedding
 from .errors import AugmentationError, ConversionRangeError, EquationError, InputError
-from .kb import KnowledgeBase, conversion_factor, units_of_dimension
+from .kb import KnowledgeBase, conversion_factor
 from .linking import DEFAULT_THRESHOLD, Mention, link
 from .quantity_text import QuantityMention, extract_quantities
 from .util import (
@@ -429,7 +429,7 @@ def augment_context_dimension(
         old = kb.unit(mention.linked_unit)
         if old.affine_offset != 0.0:
             continue
-        for alt in sorted(units_of_dimension(kb, old.dimension)):
+        for alt in kb.units_with_dimension(old.dimension):
             if alt == mention.linked_unit or kb.unit(alt).affine_offset != 0.0:
                 continue
             if target_unit is not None and alt != target_unit:
@@ -502,7 +502,7 @@ def augment_question_dimension(
         raise AugmentationError(f"problem {p.id}: affine answer unit unsupported")
     alts = [
         u
-        for u in sorted(units_of_dimension(kb, old.dimension))
+        for u in kb.units_with_dimension(old.dimension)
         if u != unit_mention.unit_id and kb.unit(u).affine_offset == 0.0
         and (target_unit is None or u == target_unit)
     ]

@@ -15,13 +15,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .dimension import DimensionVector, format_symbolic, is_comparable
 from .errors import DimensionRangeError, GenerationError
 from .kb import KnowledgeBase, conversion_factor, units_of_dimension
-from .quantity_text import AnnotatedSentence
 from .util import byte_replace, format_number
+
+if TYPE_CHECKING:
+    from .quantity_text import AnnotatedSentence
 
 DEFAULT_CANDIDATES = 4
 _RESAMPLE_BUDGET = 200
@@ -236,7 +238,9 @@ def gen_comparable(
 ) -> list[TaskInstance]:
     """Anchor unit given; exactly one candidate shares its dimension."""
     anchors = [
-        uid for uid, rec in kb.records.items() if len(units_of_dimension(kb, rec.dimension)) >= 2
+        uid
+        for uid, rec in kb.records.items()
+        if len(kb.units_with_dimension(rec.dimension)) >= 2
     ]
     if not anchors or len(kb.dimension_index) < 4:
         raise GenerationError("KB lacks dimension diversity for comparable tasks")
@@ -246,7 +250,7 @@ def gen_comparable(
     def draw(i, irng):
         anchor = irng.choice(anchors)
         dim = kb.unit(anchor).dimension
-        correct = irng.choice(sorted(units_of_dimension(kb, dim) - {anchor}))
+        correct = irng.choice([u for u in kb.units_with_dimension(dim) if u != anchor])
         distractors = sample_distractors(irng, dim, m - 1)
         sym = format_symbolic(dim)
         reasoning = (
@@ -287,7 +291,7 @@ def gen_dimension_prediction(
         source = mention.linked_unit
         dim = kb.unit(source).dimension
         masked = byte_replace(sent.text, *mention.quantity_span, "[MASK]")
-        correct = irng.choice(sorted(units_of_dimension(kb, dim)))
+        correct = irng.choice(kb.units_with_dimension(dim))
         distractors = sample_distractors(irng, dim, m - 1)
         sym = format_symbolic(dim)
         reasoning = (
@@ -328,10 +332,10 @@ def gen_dimension_arithmetic(
                 dim = expression_dimension(kb, terms, ops)
             except DimensionRangeError:
                 continue
-            matches = units_of_dimension(kb, dim)
+            matches = kb.units_with_dimension(dim)
             if not matches:
                 continue
-            correct = irng.choice(sorted(matches))
+            correct = irng.choice(matches)
             try:
                 distractors = sample_distractors(irng, dim, m - 1)
             except GenerationError:

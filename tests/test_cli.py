@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import dimkit
-from dimkit.cli import main
+from dimkit.cli import _resolve_unit, main
+from dimkit.errors import UnitResolutionError
+from dimkit.kb import lookup_surface
+from dimkit.linking import Mention, link
 
 
 def run(capsys, *argv):
@@ -278,6 +281,11 @@ class TestInputErrors:
             ["annotate", "{data}/corpus_sample.txt", "--oracle", "command:'x"],
             ["annotate", "{data}/corpus_sample.txt", "--oracle", "command:"],
             ["annotate", "{data}/corpus_sample.txt", "--oracle", "command: \t"],
+            # commands that build no embedder still reject a malformed spec
+            ["--embedder", "bogus", "convert", "1", "meter", "centimeter"],
+            ["--embedder", "bogus", "dim", "kg / m"],
+            ["--embedder", "bogus", "gen-tasks", "kind_match", "-n", "5"],
+            ["--embedder", "bogus", "bootstrap", "{data}/triplets.tsv"],
         ],
     )
     def test_exit_4_without_traceback(self, capsys, tmp_path, data_dir, argv):
@@ -544,6 +552,25 @@ class TestUsageAndEnvironment:
 
 
 class TestStartup:
+    @staticmethod
+    def main_in_subprocess(argv, tmp_path, data_dir, report):
+        """Run main(argv) in a fresh interpreter, then print the exit code
+        and the expression report to stderr, which is returned."""
+        (tmp_path / "vectors.txt").write_text("1 2\nmeter 0.5 0.5\n", encoding="utf-8")
+        argv = [a.format(data=data_dir, tmp=tmp_path) for a in argv]
+        script = (
+            "import sys\n"
+            "from dimkit.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            f"print(code, {report}, file=sys.stderr)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(dimkit.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        return proc.stderr
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -551,20 +578,44 @@ class TestStartup:
             ["gen-tasks", "kind_match", "-n", "5"],
             ["--embedder", "vectors:{tmp}/vectors.txt", "gen-tasks", "kind_match", "-n", "5"],
             ["bootstrap", "{data}/triplets.tsv", "-o", "{tmp}/retrieved.json"],
+            # convert and dim resolve units without context: no embedder,
+            # so the vector file is never read, even when it is missing
+            ["--embedder", "vectors:{tmp}/vectors.txt", "convert", "1", "meterr", "cm"],
+            ["--embedder", "vectors:{tmp}/missing.txt", "convert", "1", "meter", "centimeter"],
+            ["--embedder", "vectors:{tmp}/vectors.txt", "dim", "Joule * meterr"],
+            ["--embedder", "vectors:{tmp}/missing.txt", "dim", "kg / m"],
         ],
     )
     def test_command_without_embedding_skips_numpy(self, argv, tmp_path, data_dir):
-        (tmp_path / "vectors.txt").write_text("1 2\nmeter 0.5 0.5\n", encoding="utf-8")
-        argv = [a.format(data=data_dir, tmp=tmp_path) for a in argv]
-        script = (
-            "import sys\n"
-            "from dimkit.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
+        report = self.main_in_subprocess(argv, tmp_path, data_dir, "'numpy' in sys.modules")
+        assert report == "0 False\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["convert", "1", "meter", "centimeter"], ["gen-tasks", "kind_match", "-n", "5"]]
+    )
+    def test_command_loads_only_its_modules(self, argv, tmp_path, data_dir):
+        unused = ["dimkit.mwp", "dimkit.bootstrap", "dimkit.scoring", "dimkit.quantity_text"]
+        report = self.main_in_subprocess(
+            argv, tmp_path, data_dir, f"[m for m in {unused!r} if m in sys.modules]"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(dimkit.__file__).resolve().parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
-            timeout=60,
-        )
-        assert proc.stderr == "0 False\n"
+        assert report == "0 []\n"
+
+
+def test_resolve_unit_is_the_top_link(kb, emb):
+    """Without context, _resolve_unit picks what link ranks first (or what
+    an exact surface names), for every form of every unit and typos of them."""
+    surfaces = {f for rec in kb.records.values() for f in rec.surface_forms()}
+    surfaces |= {f[:-1] + "x" for f in surfaces if len(f) > 2} | {f + "s" for f in surfaces}
+    for threshold in (0.5, 0.8):
+        for surface in sorted(surfaces):
+            exact = lookup_surface(kb, surface)
+            ranked = link(kb, Mention(surface), emb, threshold)
+            if len(exact) == 1:
+                expected = next(iter(exact))
+            elif ranked:
+                expected = ranked[0].unit_id
+            else:
+                with pytest.raises(UnitResolutionError):
+                    _resolve_unit(kb, surface, threshold)
+                continue
+            assert _resolve_unit(kb, surface, threshold) == expected, surface

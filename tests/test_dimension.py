@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimkit import dimension
 from dimkit.dimension import (
+    BASES,
     DIMENSIONLESS,
+    EXPONENT_MAX,
+    EXPONENT_MIN,
+    SYMBOLIC_ORDER,
     DimensionVector,
     dim_div,
     dim_mul,
@@ -150,3 +155,129 @@ def test_randomized_roundtrip_bulk():
     for _ in range(2000):
         dv = DimensionVector(tuple(rng.randint(-12, 12) for _ in range(7)))
         assert parse_dimension(format_dimension(dv)) == dv
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the memoized algebra: each memoized result equals the value
+# built fresh, on a first call and on a repeat, and failures never stick.
+
+in_range = st.tuples(*[st.integers(EXPONENT_MIN, EXPONENT_MAX) for _ in range(7)])
+
+
+def ref_format_dimension(exponents) -> str:
+    parts = [f"{base}{e}" for base, e in zip(BASES, exponents)]
+    parts.append(f"D{1 if all(e == 0 for e in exponents) else 0}")
+    return "".join(parts)
+
+
+def ref_format_symbolic(exponents) -> str:
+    if all(e == 0 for e in exponents):
+        return "D"
+    parts = []
+    for base in SYMBOLIC_ORDER:
+        e = exponents[BASES.index(base)]
+        if e == 0:
+            continue
+        parts.append(base if e == 1 else f"{base}^{e}")
+    return "".join(parts)
+
+
+def ref_parse_dimension(text: str) -> tuple:
+    """The exponents text encodes, or the (error type, offset) parsing it
+    raises, computed without the module's parser."""
+    pos = 0
+    values = []
+    for base in BASES + ("D",):
+        if pos >= len(text) or text[pos] != base:
+            return (DimensionParseError, pos)
+        pos += 1
+        start = pos
+        if pos < len(text) and text[pos] == "-":
+            pos += 1
+        digits = pos
+        while pos < len(text) and text[pos].isascii() and text[pos].isdigit():
+            pos += 1
+        if pos == digits:
+            return (DimensionParseError, pos)
+        values.append(int(text[start:pos]))
+    if pos != len(text):
+        return (DimensionParseError, pos)
+    exponents, d = tuple(values[:7]), values[7]
+    if any(not EXPONENT_MIN <= e <= EXPONENT_MAX for e in exponents):
+        return (DimensionRangeError, None)
+    if d not in (0, 1) or bool(d) != all(e == 0 for e in exponents):
+        return (DimensionValidationError, None)
+    return exponents
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and offset of the error it raises."""
+    try:
+        return fn(*args)
+    except (DimensionParseError, DimensionRangeError, DimensionValidationError) as exc:
+        return (type(exc), getattr(exc, "offset", None))
+
+
+@given(in_range, in_range)
+@settings(max_examples=300)
+def test_memoized_mul_and_div_match_fresh_tuples(x, y):
+    a, b = DimensionVector(x), DimensionVector(y)
+    for op, memo, fresh in (
+        (dim_mul, dimension._PRODUCTS, tuple(p + q for p, q in zip(x, y))),
+        (dim_div, dimension._QUOTIENTS, tuple(p - q for p, q in zip(x, y))),
+    ):
+        memo.pop((x, y), None)  # the next call is a first call
+        if all(EXPONENT_MIN <= e <= EXPONENT_MAX for e in fresh):
+            first, repeat = op(a, b), op(a, b)
+            assert first.exponents == fresh and repeat.exponents == fresh
+            assert repeat is first
+        else:
+            for _ in range(2):
+                with pytest.raises(DimensionRangeError):
+                    op(a, b)
+            assert (x, y) not in memo
+
+
+@given(in_range, st.sampled_from(range(7)), st.booleans())
+def test_out_of_range_product_raises_on_every_call(x, slot, negative):
+    sign = -1 if negative else 1
+    a = DimensionVector(tuple(sign * EXPONENT_MAX if i == slot else e for i, e in enumerate(x)))
+    step = DimensionVector(tuple(sign if i == slot else 0 for i in range(7)))
+    for _ in range(2):
+        with pytest.raises(DimensionRangeError):
+            a * step
+        with pytest.raises(DimensionRangeError):
+            a / DimensionVector(tuple(-e for e in step.exponents))
+
+
+@given(in_range)
+@settings(max_examples=300)
+def test_memoized_formats_match_reference(x):
+    dv = DimensionVector(x)
+    for _ in range(2):
+        assert format_dimension(dv) == ref_format_dimension(x)
+        assert format_symbolic(dv) == ref_format_symbolic(x)
+        assert parse_dimension(ref_format_dimension(x)).exponents == x
+
+
+encoded_texts = st.one_of(
+    in_range.map(ref_format_dimension),
+    st.text(alphabet="AELIMHTD-0123456789x", max_size=24),
+    st.tuples(st.lists(st.integers(-15, 15), min_size=8, max_size=8)).map(
+        lambda t: "".join(f"{b}{e}" for b, e in zip(BASES + ("D",), t[0]))
+    ),
+)
+
+
+@given(encoded_texts)
+@settings(max_examples=400)
+def test_memoized_parse_matches_reference(text):
+    expected = ref_parse_dimension(text)
+    for _ in range(2):  # the repeat reads the memo, or raises again
+        got = outcome(parse_dimension, text)
+        if isinstance(got, DimensionVector):
+            got = got.exponents
+        if expected[0] in (DimensionRangeError, DimensionValidationError):
+            assert got[0] is expected[0]
+        else:
+            assert got == expected

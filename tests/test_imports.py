@@ -1,20 +1,24 @@
 """Every module-level import in src/dimkit is used by its module, and
-none of them is numpy.
+none of them is numpy; the package's public names resolve lazily.
 
 No linter ships with the package, and deleting a function easily leaves
-the imports only it needed behind.  ``__init__.py`` is skipped by the
-unused-import pass: its imports are the package's public names.  numpy
-is imported inside the functions that embed, so that commands which
-never embed (convert, gen-tasks, bootstrap, ...) do not pay for it.
+the imports only it needed behind.  numpy is imported inside the
+functions that embed, so that commands which never embed (convert,
+gen-tasks, bootstrap, ...) do not pay for it.  ``import dimkit`` imports
+no submodule: ``__init__.py`` resolves each public name on first use.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dimkit"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -79,6 +83,76 @@ def test_checker_flags_an_eager_numpy_import():
     assert eager_numpy_imports(source) == [2, 6, 12]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_numpy_is_imported_lazily(path):
     assert eager_numpy_imports(path.read_text(encoding="utf-8")) == []
+
+
+# The 68 public names of the dimkit package, by defining module.
+PUBLIC = {
+    "bootstrap": "BootstrapConfig BootstrapResult InMemoryTripletStore Triplet "
+    "bootstrap_retrieve load_triplets render_triplet_sentence",
+    "dimension": "DIMENSIONLESS DimensionVector dim_div dim_mul dim_pow format_dimension "
+    "format_symbolic is_comparable parse_dimension",
+    "embeddings": "TrigramHashEmbedding WordVectorEmbedding",
+    "kb": "FrequencyWeights KnowledgeBase QuantityKind UnitRecord compute_frequency "
+    "conversion_factor kind_frequency load_frequency_sidecar load_kb lookup_surface "
+    "units_of_dimension",
+    "linking": "LinkCandidate Mention candidate_generation context_score levenshtein link "
+    "mention_similarity",
+    "mwp": "AugmentationRecord MwpProblem annotate_problem augment_context_dimension "
+    "augment_context_format augment_dataset augment_question_dimension augment_question_format "
+    "evaluate_equation find_unit_mentions load_problems tokenize_equation",
+    "quantity_text": "AnnotatedSentence ConstantOracle QuantityMention annotate_corpus "
+    "apply_review extract_quantities extract_values rule_annotate value_units",
+    "scoring": "Prediction score_predictions score_quantity_extraction",
+    "tasks": "TaskInstance gen_comparable gen_dimension_arithmetic gen_dimension_prediction "
+    "gen_kind_match gen_magnitude_comparison gen_unit_conversion verify_instance",
+}
+PUBLIC_NAMES = {name: module for module, names in PUBLIC.items() for name in names.split()}
+
+
+def test_public_names_are_pinned():
+    import dimkit
+
+    assert len(PUBLIC_NAMES) == 68
+    assert sorted(dimkit.__all__) == sorted(PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(dir(dimkit))
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_NAMES))
+def test_public_name_is_its_modules_object(name):
+    import dimkit
+
+    defining = importlib.import_module(f"dimkit.{PUBLIC_NAMES[name]}")
+    assert getattr(dimkit, name) is getattr(defining, name)
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from dimkit import *", namespace)
+    for name, module in PUBLIC_NAMES.items():
+        assert namespace[name] is getattr(importlib.import_module(f"dimkit.{module}"), name)
+
+
+def test_unknown_name_is_an_attribute_error():
+    import dimkit
+
+    with pytest.raises(AttributeError):
+        dimkit.no_such_name  # noqa: B018
+    assert not hasattr(dimkit, "numpy")
+
+
+def test_import_dimkit_loads_no_submodule_until_used():
+    script = (
+        "import sys, dimkit\n"
+        "before = sorted(m for m in sys.modules if m.startswith('dimkit.'))\n"
+        "dimkit.kb.load_kb, dimkit.link\n"
+        "after = sorted(m for m in sys.modules if m.startswith('dimkit.'))\n"
+        "print(before, 'dimkit.kb' in after, 'dimkit.linking' in after)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout == "[] True True\n", proc.stderr
