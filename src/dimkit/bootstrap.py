@@ -23,7 +23,7 @@ import functools
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from .errors import InputError
 from .kb import KnowledgeBase
@@ -32,8 +32,10 @@ from .quantity_text import value_units
 from .util import normalize_surface, on_word_boundary, read_rows
 
 
-@dataclass(frozen=True)
-class Triplet:
+class Triplet(NamedTuple):
+    """One (subject, predicate, object) row; a tuple, so it compares equal
+    to the plain 3-tuple with the same fields."""
+
     subject: str
     predicate: str
     obj: str
@@ -113,7 +115,7 @@ class InMemoryTripletStore:
 def _triplet_row(cols: list[str]) -> Triplet:
     if len(cols) != 3:
         raise ValueError(f"expected 3 fields, got {len(cols)}")
-    return Triplet(*cols)
+    return tuple.__new__(Triplet, cols)  # Triplet(*cols), built in C
 
 
 def load_triplets(path: str | Path) -> InMemoryTripletStore:
@@ -196,9 +198,8 @@ def bootstrap_retrieve(
         retrieved.extend(store.triplets_with_object_containing(mention))
     for predicate in sorted(predicates):
         retrieved.extend(store.triplets_with_predicate(predicate))
-    seen: set[Triplet] = set()
-    unique = [t for t in retrieved if not (t in seen or seen.add(t))]
-    return BootstrapResult(tuple(unique), predicates, mentions)
+    # dict keys keep each triplet's first occurrence, in order
+    return BootstrapResult(tuple(dict.fromkeys(retrieved)), predicates, mentions)
 
 
 #: Deterministic sentence templates replacing generative rendering.

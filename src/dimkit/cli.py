@@ -50,6 +50,7 @@ from .linking import DEFAULT_THRESHOLD, Mention, candidate_generation, link, ran
 from .util import derive_rng, format_number, jsonl_lines, read_lines, read_records, write_lines
 
 if TYPE_CHECKING:
+    from .bootstrap import BootstrapResult
     from .quantity_text import MaskedFillOracle
 
 EXIT_OK = 0
@@ -240,17 +241,29 @@ def cmd_bootstrap(args) -> int:
         tau=args.tau, iterations=args.iters, seed_unit_count=args.seed_units
     )
     result = bootstrap_mod.bootstrap_retrieve(store, kb, config, args.threshold)
-    payload = json.dumps(
-        {
-            "triplets": [[t.subject, t.predicate, t.obj] for t in result.triplets],
-            "predicates": sorted(result.predicates),
-            "mentions": sorted(result.mentions),
-        },
-        ensure_ascii=False,
-        indent=2,
-    )
-    write_lines((args.output, [payload]))
+    write_lines((args.output, [_bootstrap_json(result)]))
     return EXIT_OK
+
+
+def _bootstrap_json(result: BootstrapResult) -> str:
+    """json.dumps of {"triplets", "predicates", "mentions"} with
+    ensure_ascii=False and indent=2, assembled with the C string encoder
+    (dumps with an indent encodes every string in Python)."""
+    enc = json.encoder.encode_basestring
+
+    def array(items: list[str], indent: str) -> str:
+        inner = "\n" + indent + "  "
+        return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]" if items else "[]"
+
+    # array(list(map(enc, t)), "    ") inlined: a triplet is never empty
+    row = ",\n      ".join
+    triplets = ["[\n      " + row(map(enc, t)) + "\n    ]" for t in result.triplets]
+    predicates = list(map(enc, sorted(result.predicates)))
+    mentions = list(map(enc, sorted(result.mentions)))
+    return (
+        f'{{\n  "triplets": {array(triplets, "  ")},\n  "predicates": {array(predicates, "  ")},'
+        f'\n  "mentions": {array(mentions, "  ")}\n}}'
+    )
 
 
 def cmd_augment(args) -> int:

@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import math
 import re
-import subprocess
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
-from .embeddings import EmbeddingProvider
 from .kb import KnowledgeBase
 from .linking import DEFAULT_THRESHOLD, Mention, candidate_generation, link, window_candidates
 from .util import byte_replace, byte_slice, char_to_byte_offsets, read_rows
+
+if TYPE_CHECKING:
+    from .embeddings import EmbeddingProvider
 
 MASK_TOKEN = "[MASK]"
 
@@ -167,6 +168,8 @@ class CommandOracle:
         self.argv = list(argv)
 
     def predict(self, text_with_single_mask_token: str) -> str:
+        import subprocess
+
         proc = subprocess.run(
             self.argv,
             input=text_with_single_mask_token.encode("utf-8"),

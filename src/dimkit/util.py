@@ -4,7 +4,6 @@ reader for JSONL records, one for tab-separated rows, and one writer."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
@@ -74,6 +73,8 @@ def derive_seed(seed: int, *labels: object) -> int:
     All randomness in batch commands flows from one --seed through this,
     so independent sub-tasks never share or race an RNG stream.
     """
+    import hashlib
+
     key = "|".join([str(seed), *[str(x) for x in labels]])
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

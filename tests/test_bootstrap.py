@@ -16,6 +16,7 @@ from dimkit.bootstrap import (
     render_triplet_sentence,
     seed_mentions,
 )
+from dimkit.errors import InputError
 from dimkit.quantity_text import extract_quantities
 from dimkit.util import normalize_surface
 from test_kb import small_kbs
@@ -108,6 +109,62 @@ class TestStore:
         path.write_text("a\tb\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_triplets(path)
+
+
+class TestTriplet:
+    def test_construction_and_fields(self):
+        t = Triplet("LeBron James", "height", "2.06 m")
+        assert t == Triplet(subject="LeBron James", predicate="height", obj="2.06 m")
+        assert Triplet._fields == ("subject", "predicate", "obj")
+        assert (t.subject, t.predicate, t.obj) == ("LeBron James", "height", "2.06 m")
+        # a tuple: equal to the plain 3-tuple with the same fields
+        assert t == ("LeBron James", "height", "2.06 m")
+
+    def test_immutable(self):
+        t = Triplet("a", "b", "c")
+        with pytest.raises(AttributeError):
+            t.obj = "d"
+
+    def test_equal_triplets_hash_equal(self):
+        a, b = Triplet("a", "b", "c"), Triplet(*"abc")
+        assert a is not b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_loaded_rows_are_triplets(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("a\tb\t1 m\n\nc\td\t2 kg\n", encoding="utf-8")
+        rows = load_triplets(path).triplets
+        assert rows == (Triplet("a", "b", "1 m"), Triplet("c", "d", "2 kg"))
+        assert all(type(t) is Triplet for t in rows)
+        assert rows[1].obj == "2 kg"
+
+    def test_short_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "short.tsv"
+        path.write_text("a\tb\t1 m\n\nc\td\n", encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            load_triplets(path)
+        assert str(info.value) == f"{path}: line 3: expected 3 fields, got 2"
+
+    def test_retrieval_keeps_first_occurrences_in_order(self, kb):
+        """A triplet reached through several mentions or its predicate, or
+        repeated in the store, is returned once, where it was first reached."""
+        triplets = [Triplet(f"s{9 - i}", "height", f"{150 - i} cm") for i in range(3)]
+        triplets.append(Triplet("s9", "height", "150 cm"))  # a repeated row
+        triplets.append(Triplet("x", "weight", "70 kg"))
+        store = InMemoryTripletStore(triplets)
+        result = bootstrap_retrieve(store, kb, BootstrapConfig(tau=0.5))
+        retrieved = [
+            t for m in sorted(result.mentions) for t in store.triplets_with_object_containing(m)
+        ]
+        retrieved += [t for p in sorted(result.predicates) for t in store.triplets_with_predicate(p)]
+        expected = []
+        for t in retrieved:
+            if t not in expected:
+                expected.append(t)
+        assert len(retrieved) > len(expected)
+        assert result.triplets == tuple(expected)
+        assert any(t is triplets[0] for t in result.triplets)
+        assert not any(t is triplets[3] for t in result.triplets)
 
 
 # Random stores for the index-vs-scan test: few distinct objects, so they

@@ -6,9 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dimkit
-from dimkit.cli import _resolve_unit, main
+from dimkit.bootstrap import BootstrapResult, Triplet
+from dimkit.cli import _bootstrap_json, _resolve_unit, main
 from dimkit.errors import UnitResolutionError
 from dimkit.kb import lookup_surface
 from dimkit.linking import Mention, link
@@ -478,6 +481,35 @@ class TestBootstrapAndAugment:
         assert set(payload) == {"triplets", "predicates", "mentions"}
         assert "height" in payload["predicates"]
 
+    # quotes, backslashes, C0 controls, DEL, U+2028/9 (escaped only under
+    # ensure_ascii), CJK and astral characters, besides plain ASCII
+    _TEXT = st.text(
+        alphabet=st.one_of(
+            st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029\t\n\r/'),
+            st.characters(codec="utf-8"),
+            st.sampled_from("千克米\U0001F600\U00020000"),
+        ),
+        max_size=6,
+    )
+
+    @given(
+        st.lists(st.tuples(_TEXT, _TEXT, _TEXT), max_size=4),
+        st.frozensets(_TEXT, max_size=4),
+        st.frozensets(_TEXT, max_size=4),
+    )
+    def test_bootstrap_json_matches_json_dumps(self, rows, predicates, mentions):
+        result = BootstrapResult(tuple(Triplet(*r) for r in rows), predicates, mentions)
+        expected = json.dumps(
+            {
+                "triplets": [list(r) for r in rows],
+                "predicates": sorted(predicates),
+                "mentions": sorted(mentions),
+            },
+            ensure_ascii=False,
+            indent=2,
+        )
+        assert _bootstrap_json(result) == expected
+
     def test_augment_deterministic(self, capsys, tmp_path, data_dir):
         outs = []
         for name in ("a", "b"):
@@ -590,11 +622,31 @@ class TestStartup:
         report = self.main_in_subprocess(argv, tmp_path, data_dir, "'numpy' in sys.modules")
         assert report == "0 False\n"
 
+    # the modules each command must leave unloaded: annotate builds its
+    # embedder, but a constant oracle runs no command and no command but
+    # gen-tasks draws from a derived RNG (hashlib)
+    UNUSED = {
+        "convert": ["dimkit.mwp", "dimkit.bootstrap", "dimkit.scoring", "dimkit.quantity_text",
+                    "subprocess", "hashlib"],
+        "gen-tasks": ["dimkit.mwp", "dimkit.bootstrap", "dimkit.scoring", "dimkit.quantity_text",
+                      "subprocess"],
+        "bootstrap": ["dimkit.mwp", "dimkit.scoring", "dimkit.embeddings", "numpy",
+                      "subprocess", "hashlib"],
+        "annotate": ["dimkit.mwp", "dimkit.bootstrap", "dimkit.scoring", "subprocess", "hashlib"],
+    }
+
     @pytest.mark.parametrize(
-        "argv", [["convert", "1", "meter", "centimeter"], ["gen-tasks", "kind_match", "-n", "5"]]
+        "argv",
+        [
+            ["convert", "1", "meter", "centimeter"],
+            ["gen-tasks", "kind_match", "-n", "5"],
+            ["bootstrap", "{data}/triplets.tsv", "-o", "{tmp}/retrieved.json"],
+            ["annotate", "{data}/corpus_sample.txt", "--oracle", "constant:5",
+             "-o", "{tmp}/annotated.jsonl"],
+        ],
     )
     def test_command_loads_only_its_modules(self, argv, tmp_path, data_dir):
-        unused = ["dimkit.mwp", "dimkit.bootstrap", "dimkit.scoring", "dimkit.quantity_text"]
+        unused = self.UNUSED[argv[0]]
         report = self.main_in_subprocess(
             argv, tmp_path, data_dir, f"[m for m in {unused!r} if m in sys.modules]"
         )
