@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Protocol, Sequence
 
@@ -123,23 +122,24 @@ def load_triplets(path: str | Path) -> InMemoryTripletStore:
     return InMemoryTripletStore(read_rows(path, _triplet_row))
 
 
-@dataclass(frozen=True)
 class BootstrapConfig:
-    tau: float = 0.8
-    iterations: int = 5
-    seed_unit_count: int = 10
+    __slots__ = ("tau", "iterations", "seed_unit_count")
 
-    def __post_init__(self):
-        if not (0.0 < self.tau <= 1.0):
-            raise InputError(f"tau must lie in (0, 1], got {self.tau}")
-        if self.iterations < 0:
-            raise InputError(f"iterations must be >= 0, got {self.iterations}")
-        if self.seed_unit_count < 1:
-            raise InputError(f"seed_unit_count must be >= 1, got {self.seed_unit_count}")
+    def __init__(self, tau: float = 0.8, iterations: int = 5, seed_unit_count: int = 10):
+        if not (0.0 < tau <= 1.0):
+            raise InputError(f"tau must lie in (0, 1], got {tau}")
+        if iterations < 0:
+            raise InputError(f"iterations must be >= 0, got {iterations}")
+        if seed_unit_count < 1:
+            raise InputError(f"seed_unit_count must be >= 1, got {seed_unit_count}")
+        for name, value in zip(self.__slots__, (tau, iterations, seed_unit_count)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BootstrapConfig is immutable: cannot set {name!r}")
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
+class BootstrapResult(NamedTuple):
     triplets: tuple[Triplet, ...]
     predicates: frozenset[str]
     mentions: frozenset[str]

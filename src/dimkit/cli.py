@@ -25,7 +25,6 @@ import argparse
 import json
 import math
 import os
-import shlex
 import shutil
 import sys
 from importlib import resources
@@ -98,6 +97,8 @@ def _oracle(spec: str) -> MaskedFillOracle:
     if spec.startswith("constant:"):
         return qt.ConstantOracle(spec.split(":", 1)[1])
     if spec.startswith("command:"):
+        import shlex
+
         try:
             argv = shlex.split(spec.split(":", 1)[1])
         except ValueError as exc:

@@ -25,7 +25,6 @@ operand pairs and 1,800 distinct results, under 1 MB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import DimensionParseError, DimensionRangeError, DimensionValidationError
@@ -44,20 +43,38 @@ EXPONENT_MIN, EXPONENT_MAX = -12, 12
 _INDEX = {base: i for i, base in enumerate(BASES)}
 
 
-@dataclass(frozen=True, slots=True)
 class DimensionVector:
-    """Immutable exponent vector; supports ``*``, ``/`` and ``**``."""
+    """Immutable exponent vector; supports ``*``, ``/`` and ``**``.
 
-    exponents: tuple[int, int, int, int, int, int, int]
+    Equal exponents compare and hash equal (vectors key the memos here).
+    """
 
-    def __post_init__(self):
-        if len(self.exponents) != 7 or any(not isinstance(e, int) for e in self.exponents):
-            raise DimensionValidationError(f"need 7 integer exponents, got {self.exponents!r}")
-        for base, e in zip(BASES, self.exponents):
+    __slots__ = ("exponents",)
+
+    def __init__(self, exponents: tuple[int, int, int, int, int, int, int]):
+        # bool is an int subclass, but True would format as "True"
+        if len(exponents) != 7 or any(type(e) is bool or not isinstance(e, int) for e in exponents):
+            raise DimensionValidationError(f"need 7 integer exponents, got {exponents!r}")
+        for base, e in zip(BASES, exponents):
             if not (EXPONENT_MIN <= e <= EXPONENT_MAX):
                 raise DimensionRangeError(
                     f"exponent {e} for base {base} outside [{EXPONENT_MIN}, {EXPONENT_MAX}]"
                 )
+        object.__setattr__(self, "exponents", exponents)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DimensionVector is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not DimensionVector:
+            return NotImplemented
+        return self.exponents == other.exponents
+
+    def __hash__(self) -> int:
+        return hash(self.exponents)
+
+    def __repr__(self) -> str:
+        return f"DimensionVector({self.exponents!r})"
 
     @classmethod
     def of(cls, **bases: int) -> "DimensionVector":
@@ -94,7 +111,7 @@ class DimensionVector:
         return quotient
 
     def __pow__(self, k: int) -> "DimensionVector":
-        if not isinstance(k, int):
+        if type(k) is bool or not isinstance(k, int):
             raise DimensionValidationError("dimension powers must be integers")
         return DimensionVector(tuple(a * k for a in self.exponents))
 

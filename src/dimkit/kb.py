@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .dimension import DimensionVector, format_dimension, is_comparable, parse_dimension
 from .errors import (
@@ -50,10 +49,7 @@ from .errors import (
 from .util import normalize_surface, read_rows
 
 
-@dataclass(frozen=True)
-class UnitRecord:
-    """One knowledge-base unit."""
-
+class _UnitFields(NamedTuple):
     unit_id: str
     label_en: str
     label_zh: str
@@ -66,6 +62,14 @@ class UnitRecord:
     dimension: DimensionVector
     conversion_val: float
     affine_offset: float = 0.0
+
+
+class UnitRecord(_UnitFields):
+    """One knowledge-base unit: a NamedTuple of its fields, subclassed for
+    the instance dict that normalized_forms is cached in."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"UnitRecord is immutable: cannot set {name!r}")
 
     def surface_forms(self) -> tuple[str, ...]:
         """All textual forms the unit may take in text, unnormalized."""
@@ -82,8 +86,7 @@ class UnitRecord:
         return tuple(normalize_surface(f) for f in self.surface_forms())
 
 
-@dataclass(frozen=True)
-class QuantityKind:
+class QuantityKind(NamedTuple):
     """A family of units measuring one physical concept."""
 
     kind_id: str
@@ -91,23 +94,26 @@ class QuantityKind:
     standard_unit: str
 
 
-@dataclass(frozen=True)
 class FrequencyWeights:
     """Weights of the three raw popularity signals plus the floor delta."""
 
-    alpha_gt: float = 0.3
-    alpha_hs: float = 0.3
-    alpha_cf: float = 0.4
-    delta: float = 0.1
+    __slots__ = ("alpha_gt", "alpha_hs", "alpha_cf", "delta")
 
-    def __post_init__(self):
-        total = self.alpha_gt + self.alpha_hs + self.alpha_cf
-        if any(a < 0 for a in (self.alpha_gt, self.alpha_hs, self.alpha_cf)):
+    def __init__(
+        self, alpha_gt: float = 0.3, alpha_hs: float = 0.3, alpha_cf: float = 0.4, delta: float = 0.1
+    ):
+        total = alpha_gt + alpha_hs + alpha_cf
+        if any(a < 0 for a in (alpha_gt, alpha_hs, alpha_cf)):
             raise ValueError("alpha weights must be nonnegative")
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"alpha weights must sum to 1, got {total}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if not (0.0 < delta < 1.0):
+            raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        for name, value in zip(self.__slots__, (alpha_gt, alpha_hs, alpha_cf, delta)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FrequencyWeights is immutable: cannot set {name!r}")
 
 
 def padded_bigrams(form: str) -> Counter:
@@ -130,8 +136,7 @@ def char_masks(form: str) -> dict[str, int]:
     return masks
 
 
-@dataclass(frozen=True)
-class BigramIndex:
+class BigramIndex(NamedTuple):
     """Inverted padded-bigram index over the distinct normalized forms.
 
     Forms are bucketed by length: ``forms[m]`` lists the forms of length
@@ -145,21 +150,29 @@ class BigramIndex:
     masks: dict[str, dict[str, int]]
 
 
-@dataclass
 class KnowledgeBase:
     """Immutable after construction; unrestricted concurrent reads.
 
     bigram_index is derived from surface_index on first use.  match_cache
-    memoizes candidate generation per normalized surface and threshold.
-    Concurrent first uses at worst build or recompute a value twice.
+    memoizes candidate generation per normalized surface and threshold;
+    each knowledge base starts with an empty one.  Concurrent first uses
+    at worst build or recompute a value twice.
     """
 
-    records: dict[str, UnitRecord]
-    kinds: dict[str, QuantityKind]
-    surface_index: dict[str, tuple[str, ...]]
-    dimension_index: dict[str, tuple[str, ...]]
-    kind_index: dict[str, tuple[str, ...]]
-    match_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(
+        self,
+        records: dict[str, UnitRecord],
+        kinds: dict[str, QuantityKind],
+        surface_index: dict[str, tuple[str, ...]],
+        dimension_index: dict[str, tuple[str, ...]],
+        kind_index: dict[str, tuple[str, ...]],
+    ):
+        self.records = records
+        self.kinds = kinds
+        self.surface_index = surface_index
+        self.dimension_index = dimension_index
+        self.kind_index = kind_index
+        self.match_cache: dict = {}
 
     def __len__(self) -> int:
         return len(self.records)

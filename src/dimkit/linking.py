@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InputError, LinkingConfigError
 from .kb import KnowledgeBase, UnitRecord, char_masks, padded_bigrams
@@ -43,20 +42,22 @@ if TYPE_CHECKING:
 DEFAULT_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
 class Mention:
     """A unit mention and its surrounding text (mention excluded)."""
 
-    surface: str
-    context: str = ""
+    __slots__ = ("surface", "context")
 
-    def __post_init__(self):
-        if not self.surface:
+    def __init__(self, surface: str, context: str = ""):
+        if not surface:
             raise InputError("mention surface must be non-empty")
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "context", context)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Mention is immutable: cannot set {name!r}")
 
 
-@dataclass(frozen=True)
-class LinkCandidate:
+class LinkCandidate(NamedTuple):
     """A scored hypothesis linking a mention to one unit."""
 
     unit_id: str
@@ -356,7 +357,7 @@ def link(
     """
     candidates = candidate_generation(kb, mention.surface, threshold)
     scored = [
-        replace(c, p_context=context_score(mention.context, kb.records[c.unit_id], emb))
+        c._replace(p_context=context_score(mention.context, kb.records[c.unit_id], emb))
         for c in candidates
     ]
     scored.sort(key=rank_key)

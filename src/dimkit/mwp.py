@@ -29,10 +29,9 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import asdict, dataclass, replace
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .embeddings import EmbeddingProvider, TrigramHashEmbedding
 from .errors import AugmentationError, ConversionRangeError, EquationError, InputError
@@ -171,8 +170,7 @@ def evaluate_equation(equation: str) -> float:
 # Problems
 
 
-@dataclass(frozen=True)
-class MwpProblem:
+class MwpProblem(NamedTuple):
     id: str
     body: str
     question: str
@@ -219,8 +217,7 @@ class MwpProblem:
             )
 
 
-@dataclass(frozen=True)
-class AugmentationRecord:
+class AugmentationRecord(NamedTuple):
     problem_id: str
     method: str
     original_unit: str
@@ -230,15 +227,14 @@ class AugmentationRecord:
     answer_after: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "AugmentationRecord":
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class AugmentationFailure:
+class AugmentationFailure(NamedTuple):
     problem_id: str
     method: str
     reason: str
@@ -251,11 +247,10 @@ def annotate_problem(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> MwpProblem:
     """Fill the mention list by running extraction over body+question."""
-    return replace(p, mentions=tuple(extract_quantities(p.text, kb, emb, threshold)))
+    return p._replace(mentions=tuple(extract_quantities(p.text, kb, emb, threshold)))
 
 
-@dataclass(frozen=True)
-class UnitMention:
+class UnitMention(NamedTuple):
     """A standalone unit surface in text (no numeric value attached)."""
 
     span: tuple[int, int]
@@ -406,7 +401,7 @@ def augment_context_format(
     mention = mentions[rng.randrange(len(mentions))]
     unit = mention.linked_unit
     new_form = _alternative_form(p, kb, rng, unit, mention.unit_surface)
-    augmented = replace(p, body=_insert(p.body, *mention.unit_span, new_form), mentions=())
+    augmented = p._replace(body=_insert(p.body, *mention.unit_span, new_form), mentions=())
     return _finish_augmentation(p, augmented, "context_format", unit, unit, 1.0)
 
 
@@ -458,7 +453,7 @@ def augment_context_dimension(
     else:
         rewrite = f"({format_plain(new_value)}*{format_plain(1.0 / beta)})"
     new_equation = _rewrite_literals(p.equation, mention.value, rewrite)
-    augmented = replace(p, body=new_body, equation=new_equation, mentions=())
+    augmented = p._replace(body=new_body, equation=new_equation, mentions=())
     return _finish_augmentation(p, augmented, "context_dimension", mention.linked_unit, alt, beta)
 
 
@@ -481,7 +476,7 @@ def augment_question_format(
     unit = unit_mention.unit_id
     new_form = _alternative_form(p, kb, rng, unit, unit_mention.surface)
     new_question = _insert(p.question, *unit_mention.span, new_form)
-    augmented = replace(p, question=new_question, mentions=())
+    augmented = p._replace(question=new_question, mentions=())
     return _finish_augmentation(p, augmented, "question_format", unit, unit, 1.0)
 
 
@@ -519,8 +514,7 @@ def augment_question_dimension(
         new_equation = f"{head}=({tail})*{format_plain(beta)}"
     else:
         new_equation = f"({p.equation})*{format_plain(beta)}"
-    augmented = replace(
-        p,
+    augmented = p._replace(
         question=new_question,
         equation=new_equation,
         answer=p.answer * beta,

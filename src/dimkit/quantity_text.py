@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence
 
 from .kb import KnowledgeBase
 from .linking import DEFAULT_THRESHOLD, Mention, candidate_generation, link, window_candidates
@@ -55,8 +54,7 @@ NUMBER_RE = re.compile(
 _UNIT_EXTRA = set("/·°^²³μµ% ")
 
 
-@dataclass(frozen=True)
-class QuantityMention:
+class QuantityMention(NamedTuple):
     """A located value (+ optional unit) span in one sentence."""
 
     value_span: tuple[int, int]
@@ -93,8 +91,7 @@ class QuantityMention:
         )
 
 
-@dataclass(frozen=True)
-class AnnotatedSentence:
+class AnnotatedSentence(NamedTuple):
     text: str
     mentions: tuple[QuantityMention, ...]
     provenance: str = "rule"  # rule | rule+filter | reviewed
@@ -118,8 +115,7 @@ class AnnotatedSentence:
         )
 
 
-@dataclass(frozen=True)
-class ReviewRow:
+class ReviewRow(NamedTuple):
     """One filter decision, written for manual inspection.
 
     Verdicts emitted by the pipeline: ``kept:numeric``, ``kept:unit``,
@@ -367,7 +363,7 @@ def annotate_corpus(
                 kept.append(mention)
         if kept:
             provenance = "rule" if failed else "rule+filter"
-            annotated.append(replace(sent, mentions=tuple(kept), provenance=provenance))
+            annotated.append(sent._replace(mentions=tuple(kept), provenance=provenance))
     return annotated, review
 
 
@@ -390,7 +386,7 @@ def apply_review(
                 continue
             kept.append(mention)
         if kept:
-            out.append(replace(sent, mentions=tuple(kept), provenance="reviewed"))
+            out.append(sent._replace(mentions=tuple(kept), provenance="reviewed"))
     return out
 
 

@@ -10,16 +10,14 @@ full quantity (QE), the value part (VE) and the unit part (UE).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimkitError
 from .quantity_text import AnnotatedSentence
 from .tasks import TaskInstance
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     id: str
     answer: int | None
 
@@ -29,8 +27,7 @@ class Prediction:
         return cls(id=d["id"], answer=None if answer is None else int(answer))
 
 
-@dataclass(frozen=True)
-class ChoiceMetrics:
+class ChoiceMetrics(NamedTuple):
     total: int
     answered: int
     correct: int
@@ -104,8 +101,7 @@ def score_predictions(
     return out
 
 
-@dataclass(frozen=True)
-class SpanMetrics:
+class SpanMetrics(NamedTuple):
     gold_count: int
     predicted_count: int
     matched: int

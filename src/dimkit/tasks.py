@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .dimension import DimensionVector, format_symbolic, is_comparable
 from .errors import DimensionRangeError, GenerationError
@@ -29,8 +28,7 @@ DEFAULT_CANDIDATES = 4
 _RESAMPLE_BUDGET = 200
 
 
-@dataclass(frozen=True)
-class TaskInstance:
+class TaskInstance(NamedTuple):
     id: str
     task_type: str
     prompt: dict

@@ -624,15 +624,17 @@ class TestStartup:
 
     # the modules each command must leave unloaded: annotate builds its
     # embedder, but a constant oracle runs no command and no command but
-    # gen-tasks draws from a derived RNG (hashlib)
+    # gen-tasks draws from a derived RNG (hashlib); no command defines a
+    # dataclass, and only annotate gets inspect, through numpy
     UNUSED = {
         "convert": ["dimkit.mwp", "dimkit.bootstrap", "dimkit.scoring", "dimkit.quantity_text",
-                    "subprocess", "hashlib"],
+                    "subprocess", "hashlib", "dataclasses", "shlex", "inspect"],
         "gen-tasks": ["dimkit.mwp", "dimkit.bootstrap", "dimkit.scoring", "dimkit.quantity_text",
-                      "subprocess"],
+                      "subprocess", "dataclasses", "shlex", "inspect"],
         "bootstrap": ["dimkit.mwp", "dimkit.scoring", "dimkit.embeddings", "numpy",
-                      "subprocess", "hashlib"],
-        "annotate": ["dimkit.mwp", "dimkit.bootstrap", "dimkit.scoring", "subprocess", "hashlib"],
+                      "subprocess", "hashlib", "dataclasses", "shlex", "inspect"],
+        "annotate": ["dimkit.mwp", "dimkit.bootstrap", "dimkit.scoring", "subprocess", "hashlib",
+                     "dataclasses", "shlex"],
     }
 
     @pytest.mark.parametrize(

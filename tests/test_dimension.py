@@ -110,6 +110,20 @@ def test_overflow_raises():
         dim_pow(big, 2)
 
 
+def test_bool_exponents_and_powers_rejected():
+    """True == 1, but it would format as "True", and the format memo
+    would then answer for L=1 and L=True alike."""
+    for bad in ((True, 0, 0, 0, 0, 0, 0), (0, 0, False, 0, 0, 0, 0)):
+        with pytest.raises(DimensionValidationError):
+            DimensionVector(bad)
+    with pytest.raises(DimensionValidationError):
+        DimensionVector.of(L=True)
+    for power in (True, False):
+        with pytest.raises(DimensionValidationError):
+            dim_pow(DimensionVector.of(L=1), power)
+    assert format_dimension(DimensionVector.of(L=1)) == "A0E0L1I0M0H0T0D0"
+
+
 def test_comparable_examples():
     poundal = DimensionVector.of(L=1, M=1, T=-2)
     dyn_per_cm = DimensionVector.of(M=1, T=-2)

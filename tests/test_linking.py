@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import gc
 import random
@@ -229,6 +228,11 @@ def form_of(pattern, m):
     return "".join(next(ch for ch, bits in pattern.items() if bits >> i & 1) for i in range(m))
 
 
+def uncached(kb: KnowledgeBase) -> KnowledgeBase:
+    """The same knowledge base with an empty match cache and no index yet."""
+    return KnowledgeBase(kb.records, kb.kinds, kb.surface_index, kb.dimension_index, kb.kind_index)
+
+
 def counting_kernel(calls):
     """A _prefix_distances spy: records (text, form) and answers with the oracle."""
 
@@ -269,7 +273,7 @@ class TestCandidateGeneration:
     def test_index_matches_scan_on_packaged_kb(self, kb, data, threshold):
         forms = sorted({f for r in kb.records.values() for f in r.surface_forms()})
         surface = data.draw(surfaces(forms))
-        fresh = dataclasses.replace(kb, match_cache={})  # a miss, and a new index
+        fresh = uncached(kb)  # a miss, and a new index
         assert pairs(candidate_generation(fresh, surface, threshold)) == scan(fresh, surface, threshold)
 
     @given(small_kbs(), st.data(), THRESHOLDS)
@@ -282,7 +286,7 @@ class TestCandidateGeneration:
     def test_surface_sharing_no_bigram_is_never_scored(self, kb, monkeypatch):
         calls = []
         monkeypatch.setattr(linking, "_prefix_distances", counting_kernel(calls))
-        fresh = dataclasses.replace(kb, match_cache={})
+        fresh = uncached(kb)
         assert candidate_generation(fresh, "qqqq", 0.5) == []
         assert ("qqqq", 0.5) in fresh.match_cache
         assert calls == []
@@ -291,7 +295,7 @@ class TestCandidateGeneration:
     def test_only_surviving_forms_are_scored(self, kb, monkeypatch, threshold):
         calls = []
         monkeypatch.setattr(linking, "_prefix_distances", counting_kernel(calls))
-        fresh = dataclasses.replace(kb, match_cache={})
+        fresh = uncached(kb)
         scored = 0
         for surface, _ in random_probes(kb, 60, seed=int(threshold * 10)):
             calls.clear()
@@ -341,7 +345,7 @@ class TestWindowCandidates:
         forms = sorted({f for r in kb.records.values() for f in r.surface_forms()} | {"m"})
         window = data.draw(windows(forms))
         prefixes = [window[:end] for end in range(len(window) + 1)]
-        fresh = dataclasses.replace(kb, match_cache={})
+        fresh = uncached(kb)
         for prefix in data.draw(st.lists(st.sampled_from(prefixes), max_size=3)):
             candidate_generation(fresh, prefix, threshold)  # warm some entries first
         got = window_candidates(fresh, prefixes, threshold)
@@ -366,7 +370,7 @@ class TestWindowCandidates:
     def test_mark_at_a_cut_starts_its_own_chain(self, kb, monkeypatch):
         calls = []
         monkeypatch.setattr(linking, "_prefix_distances", counting_kernel(calls))
-        fresh = dataclasses.replace(kb, match_cache={})
+        fresh = uncached(kb)
         prefixes = ["W", "W\u030a", "W\u030am"]  # normalized: "w", "\u1e98", "\u1e98m"
         window_candidates(fresh, prefixes, 0.3)
         assert {text for text, _ in calls} == {"w", "\u1e98m"}
@@ -377,7 +381,7 @@ class TestWindowCandidates:
     def test_one_kernel_run_per_form_and_chain(self, kb, monkeypatch):
         calls = []
         monkeypatch.setattr(linking, "_prefix_distances", counting_kernel(calls))
-        fresh = dataclasses.replace(kb, match_cache={})
+        fresh = uncached(kb)
         window = "kilometers per"
         window_candidates(fresh, [window[:end] for end in range(1, len(window) + 1)], 0.5)
         assert calls and {text for text, _ in calls} == {window}
@@ -395,7 +399,7 @@ class TestContextScore:
 
     def test_zero_keywords_is_config_error(self, emb, kb):
         context_score("any", kb.unit("M"), emb)
-        record = dataclasses.replace(kb.unit("M"), keywords=())
+        record = kb.unit("M")._replace(keywords=())
         for _ in range(2):  # raised on every call, never memoized
             with pytest.raises(LinkingConfigError):
                 context_score("any", record, emb)
@@ -551,7 +555,7 @@ class TestContextScoreBits:
     def test_kbs_sharing_a_unit_id_keep_their_keywords(self):
         emb = TrigramHashEmbedding()
         warm = make_record("X", "Length", LEN, 1.0, keywords=("water", "temperature"))
-        optic = dataclasses.replace(warm, keywords=("lens", "eyeglass"))
+        optic = warm._replace(keywords=("lens", "eyeglass"))
         context = "water temperature today"
         scores = []
         for record in (warm, optic, warm, optic):
@@ -617,7 +621,7 @@ class TestLink:
         probes = random_probes(kb, 25, seed=77)
         for kappa in (0.03, 0.5):  # keep rescaled priors within (0, 1]
             scaled = KnowledgeBase.from_records(
-                dataclasses.replace(r, frequency=r.frequency * kappa)
+                r._replace(frequency=r.frequency * kappa)
                 for r in kb.records.values()
             )
             for surface, context in probes:

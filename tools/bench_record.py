@@ -24,8 +24,11 @@ so slow drift of the machine falls on both sides alike.  The JSON holds:
 * ``traced``: with ``--trace-seed``, each side's per-layer metrics of
   one traced run per workload and its ten largest traced self times;
 * ``floor``: the process floor of each side, the median wall time and
-  max RSS of fresh ``python3 -c pass``, ``import dimkit.cli`` and
-  ``import numpy`` processes.
+  peak RSS of fresh ``python3 -c pass``, ``import dimkit.cli``,
+  ``convert 1 meter centimeter`` (the command ``setup_s`` times, run
+  through ``dimkit.cli.main``) and ``import numpy`` processes.  Each child
+  reports its own peak RSS (``VmHWM``): the ``wait4`` max-RSS of a child
+  starts from its parent's high-water mark, so it would read this script.
 """
 
 from __future__ import annotations
@@ -47,8 +50,11 @@ HIGHER_IS_BETTER = {"items_per_s": True, "setup_s": False, "peak_rss_mb": False}
 FLOOR = {
     "bare_interpreter": "pass",
     "import_dimkit_cli": "import dimkit.cli",
+    "convert": 'from dimkit.cli import main; main(["convert", "1", "meter", "centimeter"])',
     "import_numpy": "import numpy",
 }
+# appended to each floor command: its last stdout line is the child's VmHWM in kB
+PRINT_VMHWM = "\nprint(next(ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM:')))"
 FLOOR_REPEATS = 15  # fresh processes per side and floor command
 
 
@@ -124,24 +130,25 @@ def top_self_times(tree: Path, workload: str, seed: int, n: int = 10) -> list:
 
 
 def process_floor(trees: dict[str, Path]) -> dict:
-    """Median wall time and max RSS of fresh interpreters, sides alternating."""
+    """Median wall time and peak RSS (the child's own VmHWM) of fresh
+    interpreters, sides alternating."""
     samples = {side: {k: [] for k in FLOOR} for side in trees}
     for i in range(FLOOR_REPEATS):
         for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
-            env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+            env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "DIMKIT"))}
             env["PYTHONPATH"] = str(trees[side] / "src")
             for key, code in FLOOR.items():
                 start = time.perf_counter()
-                proc = subprocess.Popen([sys.executable, "-c", code], env=env, cwd=trees[side])
-                _, status, usage = os.wait4(proc.pid, 0)
+                proc = subprocess.run([sys.executable, "-c", code + PRINT_VMHWM], env=env,
+                                      cwd=trees[side], capture_output=True, text=True)
                 wall = time.perf_counter() - start
-                if os.waitstatus_to_exitcode(status) == 0:
-                    samples[side][key].append((wall, usage.ru_maxrss / 1024.0))
+                if proc.returncode == 0:
+                    samples[side][key].append((wall, int(proc.stdout.split()[-1]) / 1024.0))
     return {
         side: {
             key: {
                 "median_s": statistics.median(w for w, _ in s) if s else None,
-                "max_rss_mb": statistics.median(r for _, r in s) if s else None,
+                "vmhwm_mb": statistics.median(r for _, r in s) if s else None,
                 "samples": len(s),
             }
             for key, s in by_key.items()
