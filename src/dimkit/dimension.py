@@ -52,8 +52,11 @@ class DimensionVector:
     __slots__ = ("exponents",)
 
     def __init__(self, exponents: tuple[int, int, int, int, int, int, int]):
-        # bool is an int subclass, but True would format as "True"
-        if len(exponents) != 7 or any(type(e) is bool or not isinstance(e, int) for e in exponents):
+        # bool is an int subclass, but True would format as "True"; a list
+        # or range would build but not hash
+        if type(exponents) is not tuple or len(exponents) != 7 or any(
+            type(e) is bool or not isinstance(e, int) for e in exponents
+        ):
             raise DimensionValidationError(f"need 7 integer exponents, got {exponents!r}")
         for base, e in zip(BASES, exponents):
             if not (EXPONENT_MIN <= e <= EXPONENT_MAX):

@@ -363,7 +363,7 @@ def _rewrite_literals(equation: str, old_value: float, replacement: str) -> str:
 def _linked_body_mentions(p: MwpProblem, kb, emb, threshold) -> list[QuantityMention]:
     """Linked body mentions: those p carries, else those annotate_problem extracts."""
     if not p.mentions:
-        p = annotate_problem(p, kb, emb or TrigramHashEmbedding(), threshold)
+        p = annotate_problem(p, kb, emb, threshold)
     body_len = byte_length(p.body)
     return [
         m
@@ -391,7 +391,7 @@ def augment_context_format(
     p: MwpProblem,
     kb: KnowledgeBase,
     rng: random.Random,
-    emb: EmbeddingProvider | None = None,
+    emb: EmbeddingProvider,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> tuple[MwpProblem, AugmentationRecord]:
     """Swap a body unit surface for an equivalent alternative format."""
@@ -409,7 +409,7 @@ def augment_context_dimension(
     p: MwpProblem,
     kb: KnowledgeBase,
     rng: random.Random,
-    emb: EmbeddingProvider | None = None,
+    emb: EmbeddingProvider,
     threshold: float = DEFAULT_THRESHOLD,
     target_unit: str | None = None,
 ) -> tuple[MwpProblem, AugmentationRecord]:
@@ -458,7 +458,7 @@ def augment_context_dimension(
 
 
 def _question_unit(p, kb, emb, threshold) -> UnitMention:
-    found = find_unit_mentions(p.question, kb, emb or TrigramHashEmbedding(), threshold)
+    found = find_unit_mentions(p.question, kb, emb, threshold)
     if not found:
         raise AugmentationError(f"problem {p.id}: question contains no linked unit mention")
     return found[-1]  # the asked unit is the one nearest the question mark
@@ -468,7 +468,7 @@ def augment_question_format(
     p: MwpProblem,
     kb: KnowledgeBase,
     rng: random.Random,
-    emb: EmbeddingProvider | None = None,
+    emb: EmbeddingProvider,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> tuple[MwpProblem, AugmentationRecord]:
     """Swap the question unit's surface for an alternative format."""
@@ -484,7 +484,7 @@ def augment_question_dimension(
     p: MwpProblem,
     kb: KnowledgeBase,
     rng: random.Random,
-    emb: EmbeddingProvider | None = None,
+    emb: EmbeddingProvider,
     threshold: float = DEFAULT_THRESHOLD,
     target_unit: str | None = None,
 ) -> tuple[MwpProblem, AugmentationRecord]:

@@ -70,14 +70,7 @@ class QuantityMention(NamedTuple):
         return (self.value_span[0], self.unit_span[1] if self.unit_span else self.value_span[1])
 
     def to_dict(self) -> dict:
-        return {
-            "value_span": list(self.value_span),
-            "unit_span": list(self.unit_span) if self.unit_span else None,
-            "value": self.value,
-            "unit_surface": self.unit_surface,
-            "linked_unit": self.linked_unit,
-            "link_score": self.link_score,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuantityMention":

@@ -6,6 +6,11 @@ by :func:`verify_instance` before an instance is returned.  Generation
 is seed-deterministic: the caller's RNG yields one sub-seed per
 instance, and that sub-seed is recorded on the instance.
 
+Each generator checks its KB and inputs once, then hands a ``draw``
+function to one shared instance loop, :func:`_instances`.  That loop
+rejects degenerate sizes, resamples a draw that returns None within one
+budget, and checks, shuffles and verifies every instance.
+
 Rationales follow the delimited reasoning/answer shape
 ``<bos> R <sep> A <eos>``.
 """
@@ -38,15 +43,7 @@ class TaskInstance(NamedTuple):
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "task_type": self.task_type,
-            "prompt": self.prompt,
-            "candidates": list(self.candidates),
-            "answer_index": self.answer_index,
-            "rationale": self.rationale,
-            "seed": self.seed,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "TaskInstance":
@@ -91,16 +88,33 @@ def _instances(
     task_type: str,
     rng: random.Random,
     n: int,
-    draw: Callable[[int, random.Random], tuple[dict, str, list[str], str, str]],
+    m: int,
+    draw: Callable[[random.Random], tuple[dict, str, list[str], str, str] | None],
 ) -> list[TaskInstance]:
-    """n verified instances; instance i is ``draw(i, irng) -> (prompt, correct,
-    distractors, reasoning, answer_text)`` on an RNG seeded with the i-th of
-    n sub-seeds drawn up front, which then shuffles the candidates."""
+    """n verified instances of `task_type` with m candidates each.
+
+    Rejects ``n < 0`` and ``m < 2``.  Instance i gets an RNG seeded with
+    the i-th of n sub-seeds drawn up front.  ``draw(irng)`` returns
+    ``(prompt, correct, distractors, reasoning, answer_text)``, or None to
+    reject the attempt; it is called on the same RNG until it accepts, at
+    most ``_RESAMPLE_BUDGET`` times.  The accepted candidates must be
+    distinct; the same RNG shuffles them, and the instance must pass
+    :func:`verify_instance`."""
+    if n < 0:
+        raise GenerationError(f"instance count must be >= 0, got {n}")
+    if m < 2:
+        raise GenerationError(f"need >= 2 candidates per instance, got {m}")
     seeds = [rng.getrandbits(32) for _ in range(n)]
     out = []
     for i, seed in enumerate(seeds):
         irng = random.Random(seed)
-        prompt, correct, distractors, reasoning, answer_text = draw(i, irng)
+        for _ in range(_RESAMPLE_BUDGET):
+            drawn = draw(irng)
+            if drawn is not None:
+                break
+        else:
+            raise GenerationError(f"resample budget exhausted for {task_type} instance {i}")
+        prompt, correct, distractors, reasoning, answer_text = drawn
         candidates = [correct, *distractors]
         if len(set(candidates)) != len(candidates):
             raise GenerationError(f"candidates not distinct: {candidates}")
@@ -214,7 +228,7 @@ def gen_kind_match(
 
     sample_distractors = _distractor_sampler(kb)
 
-    def draw(i, irng):
+    def draw(irng):
         kind_id = irng.choice(kinds)
         correct = irng.choice(kb.units_of_kind(kind_id))
         distractors = sample_distractors(irng, kb.kinds[kind_id].dimension, m - 1)
@@ -228,7 +242,7 @@ def gen_kind_match(
         prompt = {"kind": kind_id, "question": f"Which unit measures {kind_id}?"}
         return prompt, correct, distractors, reasoning, _label(kb, correct)
 
-    return _instances(kb, "kind_match", rng, n, draw)
+    return _instances(kb, "kind_match", rng, n, m, draw)
 
 
 def gen_comparable(
@@ -245,7 +259,7 @@ def gen_comparable(
 
     sample_distractors = _distractor_sampler(kb)
 
-    def draw(i, irng):
+    def draw(irng):
         anchor = irng.choice(anchors)
         dim = kb.unit(anchor).dimension
         correct = irng.choice([u for u in kb.units_with_dimension(dim) if u != anchor])
@@ -261,7 +275,7 @@ def gen_comparable(
         }
         return prompt, correct, distractors, reasoning, _label(kb, correct)
 
-    return _instances(kb, "comparable", rng, n, draw)
+    return _instances(kb, "comparable", rng, n, m, draw)
 
 
 def gen_dimension_prediction(
@@ -284,7 +298,7 @@ def gen_dimension_prediction(
 
     sample_distractors = _distractor_sampler(kb)
 
-    def draw(i, irng):
+    def draw(irng):
         sent, mention = pool[irng.randrange(len(pool))]
         source = mention.linked_unit
         dim = kb.unit(source).dimension
@@ -299,7 +313,7 @@ def gen_dimension_prediction(
         prompt = {"masked_text": masked, "source_unit": source}
         return prompt, correct, distractors, reasoning, _label(kb, correct)
 
-    return _instances(kb, "dimension_prediction", rng, n, draw)
+    return _instances(kb, "dimension_prediction", rng, n, m, draw)
 
 
 def gen_dimension_arithmetic(
@@ -321,28 +335,22 @@ def gen_dimension_arithmetic(
 
     sample_distractors = _distractor_sampler(kb)
 
-    def draw(i, irng):
-        for _ in range(_RESAMPLE_BUDGET):
-            k = irng.randint(2, max_terms)
-            terms = [irng.choice(all_units) for _ in range(k)]
-            ops = [irng.choice("×÷") for _ in range(k - 1)]
-            try:
-                dim = expression_dimension(kb, terms, ops)
-            except DimensionRangeError:
-                continue
-            matches = kb.units_with_dimension(dim)
-            if not matches:
-                continue
-            correct = irng.choice(matches)
-            try:
-                distractors = sample_distractors(irng, dim, m - 1)
-            except GenerationError:
-                continue
-            break
-        else:
-            raise GenerationError(
-                f"resample budget exhausted for dimension_arithmetic instance {i}"
-            )
+    def draw(irng):
+        k = irng.randint(2, max_terms)
+        terms = [irng.choice(all_units) for _ in range(k)]
+        ops = [irng.choice("×÷") for _ in range(k - 1)]
+        try:
+            dim = expression_dimension(kb, terms, ops)
+        except DimensionRangeError:
+            return None
+        matches = kb.units_with_dimension(dim)
+        if not matches:
+            return None
+        correct = irng.choice(matches)
+        try:
+            distractors = sample_distractors(irng, dim, m - 1)
+        except GenerationError:
+            return None
         expression = " ".join(
             part
             for pair in zip([_label(kb, t) for t in terms], ops + [""])
@@ -357,7 +365,7 @@ def gen_dimension_arithmetic(
         prompt = {"expression": expression, "terms": terms, "ops": ops}
         return prompt, correct, distractors, reasoning, _label(kb, correct)
 
-    return _instances(kb, "dimension_arithmetic", rng, n, draw)
+    return _instances(kb, "dimension_arithmetic", rng, n, m, draw)
 
 
 def gen_magnitude_comparison(
@@ -372,18 +380,14 @@ def gen_magnitude_comparison(
     if not eligible:
         raise GenerationError(f"no dimension has >= {m} units")
 
-    def draw(i, irng):
-        for _ in range(_RESAMPLE_BUDGET):
-            dim_key = irng.choice(eligible)
-            group = irng.sample(kb.dimension_index[dim_key], m)
-            values = [kb.unit(u).conversion_val for u in group]
-            peak = max(values)
-            if values.count(peak) != 1:
-                continue  # tie at the maximum
-            correct = group[values.index(peak)]
-            break
-        else:
-            raise GenerationError(f"could not find a tie-free group for instance {i}")
+    def draw(irng):
+        dim_key = irng.choice(eligible)
+        group = irng.sample(kb.dimension_index[dim_key], m)
+        values = [kb.unit(u).conversion_val for u in group]
+        peak = max(values)
+        if values.count(peak) != 1:
+            return None  # tie at the maximum
+        correct = group[values.index(peak)]
         others = [u for u in group if u != correct]
         reasoning = (
             "In standard units: "
@@ -393,7 +397,7 @@ def gen_magnitude_comparison(
         prompt = {"question": "Which unit has the largest magnitude?"}
         return prompt, correct, others, reasoning, _label(kb, correct)
 
-    return _instances(kb, "magnitude_comparison", rng, n, draw)
+    return _instances(kb, "magnitude_comparison", rng, n, m, draw)
 
 
 def gen_unit_conversion(
@@ -411,17 +415,12 @@ def gen_unit_conversion(
     if not pairs_pool:
         raise GenerationError("no comparable non-affine pair in KB")
 
-    def draw(i, irng):
-        for _ in range(_RESAMPLE_BUDGET):
-            units = linear[irng.choice(pairs_pool)]
-            u1, u2 = irng.sample(units, 2)
-            beta = conversion_factor(kb, u1, u2)
-            if beta == 1.0:
-                continue  # degenerate (u, u)-like pair
-            break
-        else:
-            raise GenerationError(f"no non-degenerate conversion pair for instance {i}")
-
+    def draw(irng):
+        units = linear[irng.choice(pairs_pool)]
+        u1, u2 = irng.sample(units, 2)
+        beta = conversion_factor(kb, u1, u2)
+        if beta == 1.0:
+            return None  # degenerate (u, u)-like pair
         distractor_values: list[float] = [1.0 / beta]
         for k in (1, -1, 2, -2, 3, -3):
             distractor_values.append(beta * 10.0**k)
@@ -448,7 +447,7 @@ def gen_unit_conversion(
         }
         return prompt, gold, [format_number(v) for v in chosen], reasoning, gold
 
-    return _instances(kb, "unit_conversion", rng, n, draw)
+    return _instances(kb, "unit_conversion", rng, n, m, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +485,5 @@ def generate(
     **options,
 ) -> list[TaskInstance]:
     """n instances of one family; family-specific inputs (``annotated``,
-    ``max_terms``) pass as keywords.  Rejects degenerate sizes for all."""
-    if n < 0:
-        raise GenerationError(f"instance count must be >= 0, got {n}")
-    if m < 2:
-        raise GenerationError(f"need >= 2 candidates per instance, got {m}")
+    ``max_terms``) pass as keywords."""
     return GENERATORS[task_type](kb=kb, rng=rng, n=n, m=m, **options)

@@ -127,7 +127,7 @@ class TestValidatingRecords:
         with pytest.raises(AttributeError):
             dv.exponents = (0,) * 7
         assert format_dimension(dv) == "A0E0L1I0M0H0T-1D0"
-        for bad in ((0,) * 6, (0,) * 8, (0.0,) * 7, ("1",) + (0,) * 6):
+        for bad in ((0,) * 6, (0,) * 8, (0.0,) * 7, ("1",) + (0,) * 6, [0] * 7, range(7)):
             with pytest.raises(DimensionValidationError):
                 DimensionVector(bad)
         with pytest.raises(DimensionRangeError):

@@ -198,25 +198,6 @@ class TestMagnitudeComparison:
             dims = {tuple(raw_dim(kb, c)) for c in inst.candidates}
             assert len(dims) == 1
 
-    def test_tie_groups_rejected(self):
-        from dimkit.dimension import DimensionVector
-        from dimkit.kb import KnowledgeBase
-        from test_kb import make_record
-
-        dim = DimensionVector.of(L=1)
-        # three units tie at the top among five: every 4-subset contains
-        # at least two of them, so the maximum is always tied
-        records = [
-            make_record("A0", "Length", dim, 1.0),  # standard unit
-            make_record("A1", "Length", dim, 0.1),
-            make_record("T1", "Length", dim, 1000.0),
-            make_record("T2", "Length", dim, 1000.0),
-            make_record("T3", "Length", dim, 1000.0),
-        ]
-        tiny = KnowledgeBase.from_records(records)
-        with pytest.raises(GenerationError):
-            gen_magnitude_comparison(tiny, random.Random(1), 1)
-
     def test_known_group_answer(self, kb):
         from dimkit.tasks import TaskInstance
 
@@ -283,6 +264,47 @@ class TestUnitConversion:
         assert {inst.prompt["from_unit"] for inst in instances} == {"PA", "HUGE"}
 
 
+def _every_draw_rejected_kb(family):
+    """A tiny KB on which every draw of a resampling family is rejected."""
+    from dimkit.dimension import DimensionVector
+    from dimkit.kb import KnowledgeBase
+    from test_kb import make_record
+
+    length, mass = DimensionVector.of(L=1), DimensionVector.of(M=1)
+    if family == "magnitude_comparison":
+        # three units tie at the top among five: every 4-subset contains
+        # at least two of them, so the maximum is always tied
+        records = [
+            make_record("A0", "Length", length, 1.0),  # standard unit
+            make_record("A1", "Length", length, 0.1),
+            make_record("T1", "Length", length, 1000.0),
+            make_record("T2", "Length", length, 1000.0),
+            make_record("T3", "Length", length, 1000.0),
+        ]
+    elif family == "unit_conversion":
+        # two kinds share one dimension, each with a standard unit of
+        # conversion value 1, so every pair converts with beta 1.0
+        records = [
+            make_record("KG", "Mass", mass, 1.0),
+            make_record("KGW", "Weight", mass, 1.0),
+        ]
+    else:
+        # length units only: two terms give L^2 or D, which no unit has;
+        # three terms can give L, but then no unit is left to be a
+        # distractor of another dimension
+        records = [make_record(f"L{i}", "Length", length, 10.0**i) for i in range(5)]
+    return KnowledgeBase.from_records(records)
+
+
+@pytest.mark.parametrize(
+    "family", ["dimension_arithmetic", "magnitude_comparison", "unit_conversion"]
+)
+def test_resample_budget_exhausted(family):
+    tiny = _every_draw_rejected_kb(family)
+    with pytest.raises(GenerationError, match=f"{family} instance 0"):
+        GENERATORS[family](kb=tiny, rng=random.Random(1), n=1)
+
+
 class TestDeterminismAndIO:
     def test_same_seed_same_instances(self, kb, annotated):
         gens = [
@@ -316,10 +338,13 @@ class TestRegistry:
         assert routed == direct
 
     @pytest.mark.parametrize("n,m", [(2, 1), (2, 0), (-1, 4)])
-    def test_degenerate_sizes_rejected(self, kb, n, m):
+    def test_degenerate_sizes_rejected(self, kb, annotated, n, m):
         for task_type in TASK_TYPES:
+            options = {"annotated": annotated} if task_type == "dimension_prediction" else {}
             with pytest.raises(GenerationError):
-                generate(task_type, kb, random.Random(0), n, m)
+                generate(task_type, kb, random.Random(0), n, m, **options)
+            with pytest.raises(GenerationError):
+                GENERATORS[task_type](kb=kb, rng=random.Random(0), n=n, m=m, **options)
 
 
 class TestRandomKbs:

@@ -2,7 +2,7 @@
 """Regenerate the packaged fixture data files from the master tables below.
 
 Outputs (under src/dimkit/data/):
-    units.tsv             the fixture knowledge base (65 units, 21 kinds)
+    units.tsv             the fixture knowledge base (75 units, 21 kinds)
     unit_frequencies.tsv  raw (gt, hs, cf) popularity sidecar
     triplets.tsv          200-triplet synthetic store for bootstrapping
     corpus_sample.txt     sample sentence corpus
