@@ -426,5 +426,35 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
 
 
+def run() -> None:
+    """Entry point of ``python -m dimkit.cli`` and the ``dimkit`` script.
+
+    Runs :func:`main`, flushes stdout and stderr, and leaves with
+    ``os._exit``: every output is complete by then, so the interpreter's
+    teardown would only free memory.  When a flush fails, or a tracer
+    or profiler is attached (cProfile, coverage, debuggers) and must
+    see the normal exit, it leaves through ``sys.exit`` instead.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    monitoring = getattr(sys, "monitoring", None)  # the 3.12+ tracing hooks
+    if (
+        type(code) is int
+        and sys.gettrace() is None
+        and sys.getprofile() is None
+        and not (monitoring and any(monitoring.get_tool(i) for i in range(6)))
+    ):
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:  # None: the descriptor was closed at start-up
+                    stream.flush()
+        except (OSError, ValueError):  # a broken pipe or a full disk: report it as usual
+            sys.exit(code)
+        os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -21,10 +21,10 @@ modules read: indexes from a normalized surface form, an encoded
 dimension string or a kind id to sorted unit ids (``surface_index``,
 ``dimension_index``, ``kind_index``), and each record's
 ``normalized_forms`` in ``surface_forms()`` order.  The padded-bigram
-index of the normalized forms that candidate generation filters with,
-and each form's edit-distance bit pattern (``bigram_index``), are
-derived once as well, on first use, so commands that never link do not
-build them.
+postings of the normalized forms that candidate generation counts,
+each form's edit-distance bit pattern and each unit's position in
+``records`` (``bigram_index``) are derived once as well, on first use,
+so commands that never link do not build them.
 """
 
 from __future__ import annotations
@@ -116,15 +116,15 @@ class FrequencyWeights:
         raise AttributeError(f"FrequencyWeights is immutable: cannot set {name!r}")
 
 
-def padded_bigrams(form: str) -> Counter:
-    """Multiset of the bigrams of form framed by a start and an end mark.
+def padded_bigrams(form: str) -> list[str]:
+    """The bigrams of form framed by a start and an end mark, in order.
 
     A form of length n yields n + 1 bigrams.  The marks may also occur
     inside a form: the q-gram count bound stays valid for any padding,
     it only filters less.
     """
     padded = f"\x02{form}\x03"
-    return Counter(padded[i : i + 2] for i in range(len(padded) - 1))
+    return [padded[i : i + 2] for i in range(len(padded) - 1)]
 
 
 def char_masks(form: str) -> dict[str, int]:
@@ -139,15 +139,20 @@ def char_masks(form: str) -> dict[str, int]:
 class BigramIndex(NamedTuple):
     """Inverted padded-bigram index over the distinct normalized forms.
 
-    Forms are bucketed by length: ``forms[m]`` lists the forms of length
-    m, and ``postings[m][g]`` pairs each of them that holds bigram g with
-    its count of g.  ``masks[form]`` is the form's :func:`char_masks`.
-    The units owning a form are ``KnowledgeBase.surface_index[form]``.
+    ``forms[m]`` lists the forms of length m.  ``postings[g]`` splits the
+    forms holding bigram g by occurrence count: entry c - 1 lists each of
+    them min(c, its count of g) times, so counting the forms of entry
+    min(c, len) - 1 over the bigrams g of a query, each held c times,
+    counts every form's shared bigrams with multiplicity.  ``masks[form]``
+    is the form's :func:`char_masks`, and ``positions[unit_id]`` the
+    unit's position in ``KnowledgeBase.records``.  The units owning a
+    form are ``KnowledgeBase.surface_index[form]``.
     """
 
     forms: dict[int, tuple[str, ...]]
-    postings: dict[int, dict[str, tuple[tuple[str, int], ...]]]
+    postings: dict[str, tuple[tuple[str, ...], ...]]
     masks: dict[str, dict[str, int]]
+    positions: dict[str, int]
 
 
 class KnowledgeBase:
@@ -200,18 +205,27 @@ class KnowledgeBase:
     @cached_property
     def bigram_index(self) -> BigramIndex:
         forms: dict[int, list[str]] = {}
-        postings: dict[int, dict[str, list[tuple[str, int]]]] = {}
+        holders: dict[str, list[str]] = {}
+        repeated = set()  # bigrams some form holds more than once
         for form in self.surface_index:
             forms.setdefault(len(form), []).append(form)
-            bucket = postings.setdefault(len(form), {})
-            for gram, count in padded_bigrams(form).items():
-                bucket.setdefault(gram, []).append((form, count))
+            for gram in padded_bigrams(form):
+                held = holders.setdefault(gram, [])
+                if held and held[-1] == form:
+                    repeated.add(gram)
+                held.append(form)  # once per occurrence, each form's copies adjacent
+        postings = {gram: (tuple(held),) for gram, held in holders.items()}
+        for gram in repeated:
+            counts = Counter(holders[gram])
+            postings[gram] = tuple(
+                tuple(form for form, k in counts.items() for _ in range(min(c, k)))
+                for c in range(1, max(counts.values()) + 1)
+            )
         return BigramIndex(
             forms={m: tuple(fs) for m, fs in forms.items()},
-            postings={
-                m: {g: tuple(ps) for g, ps in bucket.items()} for m, bucket in postings.items()
-            },
+            postings=postings,
             masks={form: char_masks(form) for form in self.surface_index},
+            positions={unit_id: i for i, unit_id in enumerate(self.records)},
         )
 
     @classmethod

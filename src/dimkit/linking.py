@@ -15,21 +15,31 @@ returned sorted by descending score with deterministic tie-breaking.
 Both similarity kernels are exact.  Edit distances come from one
 kernel, the bit-parallel algorithm of Myers (J. ACM 1999) in Hyyrö's
 form for Levenshtein distance (2003), over Python ints of any width.
-One pass of a KB form over a text yields its distance to every prefix
-of that text, so the prefixes of a unit window are scored in one batch
+Candidate generation filters the KB forms with the q-gram count bound:
+the padded bigrams a query shares with every form are counted in C, a
+Counter over per-bigram posting tuples.  One pass of a surviving form
+over a text yields its distance to every prefix of that text, so the
+prefixes of a unit window are scored in one batch
 (:func:`window_candidates`), each surviving form once per chain of
-nested prefixes.  Context scores read per-embedder tables of each
-unit's keyword vectors with their norms and nonzero supports, and are
-memoized per (context, unit); a (token, keyword) pair with disjoint
-supports is skipped, as its cosine is zero, and every other cosine is
-still one ``np.dot`` over the product of the two norms, so a score
-carries the same bits as the plain per-pair computation.
+nested prefixes, and a query's candidates are assembled from the owners
+of its admitted forms alone.  Context scores read per-embedder tables of
+each unit's keyword vectors with their norms and postings from nonzero
+index to keyword row.  A context token visits only the rows sharing a
+nonzero index with it, as any other cosine is zero; its max against a
+unit is computed once per embedder, and scores are memoized per
+(context, unit).  Every computed cosine is still one ``np.dot`` over
+the product of the two norms, so a score carries the same bits as the
+plain per-pair computation.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import sys
 import weakref
+from collections import Counter
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InputError, LinkingConfigError
@@ -155,33 +165,52 @@ def _max_distance(longest: int, threshold: float) -> int:
     return k
 
 
+@functools.cache
+def _length_bounds(lengths: tuple[int, ...], n: int, threshold: float) -> tuple[tuple, tuple]:
+    """The q-gram bounds of a query of length n against forms of the
+    given lengths: the shared bigrams needed at each length m, as
+    ``needs[m]`` (``sys.maxsize`` where the length bound fails or no form
+    has that length), and the lengths whose count bound is vacuous."""
+    needs = [sys.maxsize] * (max(lengths, default=0) + 1)
+    vacuous: list[int] = []
+    for m in lengths:
+        longest = max(n, m)
+        k = _max_distance(longest, threshold)
+        if abs(n - m) > k:
+            continue
+        need = longest + 1 - 2 * k
+        if need > 0:
+            needs[m] = need
+        else:
+            vacuous.append(m)
+    return tuple(needs), tuple(vacuous)
+
+
 def _surviving_forms(kb: KnowledgeBase, query: str, threshold: float) -> set[str]:
     """KB forms whose similarity to the normalized query may be admitted.
 
     q-gram lemma (Ukkonen 1992): a form within k edits of the query
     differs from it in length by at most k and shares at least
     max(n, m) + 1 - 2k padded bigrams with it.  Forms failing either
-    bound cannot be admitted, so dropping them loses no candidate.
+    bound cannot be admitted, so dropping them loses no candidate.  The
+    shared bigrams of every form are counted in one C loop, a Counter
+    over the posting tuples of the query's bigrams: the tuple for a
+    bigram the query holds c times lists each form min(c, its count)
+    times.
     """
     index = kb.bigram_index
-    n = len(query)
-    grams = padded_bigrams(query).items()
-    survivors: set[str] = set()
-    for m, forms in index.forms.items():
-        longest = max(n, m)
-        k = _max_distance(longest, threshold)
-        if abs(n - m) > k:
-            continue
-        need = longest + 1 - 2 * k
-        if need <= 0:  # the count bound is vacuous
-            survivors.update(forms)
-            continue
-        postings = index.postings[m]
-        shared: dict[str, int] = {}
-        for gram, count in grams:
-            for form, c in postings.get(gram, ()):
-                shared[form] = shared.get(form, 0) + min(count, c)
-        survivors.update(form for form, s in shared.items() if s >= need)
+    needs, vacuous = _length_bounds(tuple(index.forms), len(query), threshold)
+    postings = index.postings
+    shared = Counter(
+        chain.from_iterable(
+            ps[min(count, len(ps)) - 1]
+            for gram, count in Counter(padded_bigrams(query)).items()
+            if (ps := postings.get(gram))
+        )
+    )
+    survivors = {form for form, s in shared.items() if s >= needs[len(form)]}
+    for m in vacuous:
+        survivors.update(index.forms[m])
     return survivors
 
 
@@ -198,10 +227,12 @@ def window_candidates(
     query simply heads its own chain.)  Each query keeps its own lossless
     bigram filter; each form surviving for some query of a chain is run
     once against the head, which yields its distance to every prefix of
-    the head, and so to every query of the chain.  Candidates and their
-    p_mention are then those of the one-surface scan, and every query's
-    result is stored in ``kb.match_cache``; the returned tuples are the
-    cached ones.
+    the head, and so to every query of the chain.  A query's candidates
+    are then the owners of its admitted forms, each with the best
+    similarity among them, in ``kb.records`` order: a unit's best form is
+    admitted whenever any of its forms is, so these are the candidates and
+    p_mention of the one-surface scan.  Every query's result is stored in
+    ``kb.match_cache``; the returned tuples are the cached ones.
     """
     if not (0.0 < threshold <= 1.0):
         raise InputError(f"threshold must lie in (0, 1], got {threshold}")
@@ -218,7 +249,7 @@ def window_candidates(
                 break
         else:
             chains.append((query, [query]))
-    masks = kb.bigram_index.masks
+    masks, positions = kb.bigram_index.masks, kb.bigram_index.positions
     for head, members in chains:
         survivors = {q: _surviving_forms(kb, q, threshold) for q in members}
         distances = {
@@ -227,20 +258,17 @@ def window_candidates(
         }
         for query, forms in survivors.items():
             n = len(query)
-            owners = {unit_id for form in forms for unit_id in kb.surface_index[form]}
-            found = []
-            for unit_id, record in kb.records.items():
-                if unit_id in owners:
-                    sim = max(
-                        _similarity(distances[f][n], n, len(f))
-                        for f in record.normalized_forms
-                        if f in forms
-                    )
-                    if _admitted(sim, threshold):
-                        found.append(
-                            LinkCandidate(unit_id=unit_id, prior=record.frequency, p_mention=sim)
-                        )
-            cache[(query, threshold)] = tuple(found)
+            best: dict[str, float] = {}
+            for form in forms:
+                sim = _similarity(distances[form][n], n, len(form))
+                if _admitted(sim, threshold):
+                    for unit_id in kb.surface_index[form]:
+                        if sim > best.get(unit_id, 0.0):  # admitted sims are > 0
+                            best[unit_id] = sim
+            cache[(query, threshold)] = tuple(
+                LinkCandidate(unit_id=u, prior=kb.records[u].frequency, p_mention=best[u])
+                for u in sorted(best, key=positions.__getitem__)
+            )
     return [cache[(q, threshold)] for q in queries]
 
 
@@ -267,25 +295,72 @@ def candidate_generation(
     return list(window_candidates(kb, (surface,), threshold)[0])
 
 
-# Per embedder, while it lives: the keyword rows of each unit, keyed by
+# Per embedder, while it lives: the keyword table of each unit, keyed by
 # (unit_id, keywords) so that two knowledge bases sharing a unit_id stay
-# apart; the row of each context token (None without a vector); and the
-# score per (context, unit_id, keywords).  A row is (vector, norm,
-# support), see _row.
+# apart (see _keyword_table); the row of each context token (None without
+# a vector); and the score per (context, unit_id, keywords).  A row is
+# (vector, norm, nonzero indices), see _row.
 _CONTEXT_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _row(v) -> tuple:
-    """A vector with its norm and its nonzero support as an int bitmask.
+    """A vector with its norm and the indices of its nonzero entries.
 
-    Finite vectors with disjoint supports have a dot product of +-0.0.
-    A non-finite entry gets every bit (-1): inf * 0 is nan, not 0.
+    Finite vectors sharing no nonzero index have a dot product of +-0.0.
+    A non-finite vector gets None for its indices: inf * 0 is nan, not 0,
+    so it meets every other vector.  The norm is ``np.linalg.norm``'s own
+    expression for a 1-D float vector, the root of ``v.dot(v)``.
     """
     import numpy as np
 
-    finite = bool(np.isfinite(v).all())
-    support = int.from_bytes(np.packbits(v != 0, bitorder="little").tobytes(), "little")
-    return v, float(np.linalg.norm(v)), support if finite else -1
+    nonzero = v.nonzero()[0].tolist() if np.isfinite(v).all() else None
+    return v, math.sqrt(v.dot(v)), nonzero
+
+
+def _keyword_table(rows: list[tuple]) -> tuple:
+    """A unit's keyword rows; their postings, from each index to the
+    positions of the rows nonzero there; the positions of the non-finite
+    rows; and an empty memo of each token's max cosine against the rows."""
+    postings: dict[int, list[int]] = {}
+    for j, (_, _, nonzero) in enumerate(rows):
+        for i in nonzero or ():
+            postings.setdefault(i, []).append(j)
+    unpruned = tuple(j for j, row in enumerate(rows) if row[2] is None)
+    return rows, {i: tuple(js) for i, js in postings.items()}, unpruned, {}
+
+
+def _max_cosine(token_row: tuple, table: tuple) -> float:
+    """Max over a unit's keyword rows of the clamped cosine with a token.
+
+    Only the rows sharing a nonzero index with the token, and the
+    non-finite ones, are visited, in row order (a non-finite token
+    visits all).  Each cosine is ``np.dot(v, k) / (na * nb)`` with the
+    token norm na first, as in :func:`dimkit.embeddings.cosine`, and 0
+    when either norm is 0; a matrix product would sum in another order
+    and change the last bits.  An unvisited row's clamped cosine is
+    +-0.0, which never wins a max of values in [0, 1]; only as the first
+    row does it count, leading the max as 0.0, so that a later nan is
+    passed over exactly as in a max over every row.
+    """
+    import numpy as np
+
+    v, na, nonzero = token_row
+    rows, postings, unpruned, _ = table
+    if nonzero is None:
+        visit: Sequence[int] = range(len(rows))
+    else:
+        hits = {j for i in nonzero for j in postings.get(i, ())}
+        hits.update(unpruned)
+        if not hits:
+            return 0.0
+        visit = sorted(hits)
+    cosines = [
+        0.0 if na == 0.0 or nb == 0.0 else min(max(float(np.dot(v, k) / (na * nb)), 0.0), 1.0)
+        for k, nb, _ in map(rows.__getitem__, visit)
+    ]
+    if visit[0]:
+        cosines.insert(0, 0.0)
+    return max(cosines)
 
 
 def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> float:
@@ -294,22 +369,20 @@ def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> f
     Cosines are clamped to [0, 1] before aggregation; tokens or keywords
     without vectors contribute 0.  Empty context is neutral (1.0).
 
-    The keyword vectors of each unit and the vector of each context
-    token are looked up and their norms and supports taken once per
-    embedder, and scores are memoized per (context, unit).  Each cosine
-    is ``np.dot(v, k) / (na * nb)`` with the token norm na first, as in
-    :func:`dimkit.embeddings.cosine`, and 0 when either norm is 0; a
-    matrix product would sum in another order and change the last bits.
-    A pair with disjoint supports is not computed: its clamped cosine is
-    +-0.0, which neither wins a max of values in [0, 1] nor moves a sum,
-    so it is taken as 0.0 with the same result bits.
+    Per embedder, the keyword rows of each unit are built once, with
+    postings from each nonzero index to the rows holding it, and so is
+    the row of each context token.  A token's max against a unit
+    (:func:`_max_cosine`) depends on nothing else, so it is computed
+    once per (token, unit); scores are memoized per (context, unit) too.
+    The maxima are summed in token order, so a score carries the same
+    bits as the plain per-pair computation.
     """
     if not record.keywords:
         raise LinkingConfigError(f"unit {record.unit_id} has no keywords; cannot score context")
     tables = _CONTEXT_TABLES.get(emb)
     if tables is None:
         tables = _CONTEXT_TABLES[emb] = ({}, {}, {})
-    keyword_rows, token_rows, scores = tables
+    keyword_tables, token_rows, scores = tables
     unit = (record.unit_id, record.keywords)
     key = (context, *unit)
     score = scores.get(key)
@@ -318,27 +391,23 @@ def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> f
     tokens = emb.tokenize(context)
     if not tokens:
         return 1.0
-    import numpy as np
-
-    rows = keyword_rows.get(unit)
-    if rows is None:
+    table = keyword_tables.get(unit)
+    if table is None:
         vectors = (emb.vector(t) for kw in record.keywords for t in emb.tokenize(kw))
-        rows = keyword_rows[unit] = [_row(k) for k in vectors if k is not None]
+        table = keyword_tables[unit] = _keyword_table([_row(k) for k in vectors if k is not None])
+    maxima = table[3]
     total = 0.0
     for token in tokens:
-        if token not in token_rows:
-            v = emb.vector(token)
-            token_rows[token] = None if v is None else _row(v)
-        entry = token_rows[token]
-        if entry is None or not rows:
-            continue  # contributes 0
-        v, na, sv = entry
-        total += max(
-            0.0
-            if not sv & sk or na == 0.0 or nb == 0.0
-            else min(max(float(np.dot(v, k) / (na * nb)), 0.0), 1.0)
-            for k, nb, sk in rows
-        )
+        if token not in maxima:
+            if token not in token_rows:
+                v = emb.vector(token)
+                token_rows[token] = None if v is None else _row(v)
+            entry = token_rows[token]
+            # None: the token or the unit has no vector, and contributes 0
+            maxima[token] = None if entry is None or not table[0] else _max_cosine(entry, table)
+        best = maxima[token]
+        if best is not None:
+            total += best
     score = scores[key] = total / len(tokens)
     return score
 

@@ -271,18 +271,25 @@ def find_unit_mentions(
     """Exact-surface scan for unit mentions not anchored to a value,
     e.g. the asked unit in "多少千克？".  Longest match wins at each
     position; ambiguity between exact matches resolves through
-    context-aware linking."""
+    context-aware linking.  A candidate must sit on a word boundary and
+    normalize to a KB form; the cheap boundary test runs first, so most
+    substrings are never sliced or normalized."""
     out = []
     byte_pos = 0
     i = 0
     while i < len(text):
         hit = None
-        for length in range(min(_MAX_FORM_CHARS, len(text) - i), 0, -1):
+        # a span reaching the end of text has no end edge, so this tests
+        # the start edge alone, which every length at i shares
+        lengths = range(min(_MAX_FORM_CHARS, len(text) - i), 0, -1)
+        for length in lengths if on_word_boundary(text, i, len(text)) else ():
+            if not on_word_boundary(text, i, i + length):
+                continue
             candidate = text[i : i + length]
             if candidate != candidate.strip():
                 continue
             exact = kb.surface_index.get(normalize_surface(candidate))
-            if not exact or not on_word_boundary(text, i, i + length):
+            if not exact:
                 continue
             hit = (length, candidate, exact)
             break

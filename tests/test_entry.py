@@ -1,0 +1,150 @@
+"""The process entry: ``python -m dimkit.cli`` in fresh interpreters.
+
+The entry runs main(), flushes stdout and stderr, and leaves with
+os._exit, skipping the interpreter's teardown; a profiler or tracer gets
+the normal exit.  These checks run real processes and compare what they
+print, write and return with in-process main().
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dimkit
+from dimkit.cli import main
+
+SRC = str(Path(dimkit.__file__).resolve().parents[1])
+
+
+def child_env(**settings):
+    """This checkout's sources on the path, without the caller's PYTHON*
+    settings."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    return {**env, "PYTHONPATH": SRC, **settings}
+
+
+def cli_process(argv, cwd, **settings):
+    """``python -m dimkit.cli argv``, its output captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "dimkit.cli", *argv], cwd=cwd, env=child_env(**settings),
+        capture_output=True, timeout=120,
+    )
+
+
+def in_process(argv):
+    """main(argv): its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_piped_stdout_equals_the_output_file(tmp_path):
+    argv = ["gen-tasks", "kind_match", "-n", "50", "--seed", "3"]
+    piped = cli_process(argv, tmp_path)
+    written = cli_process([*argv, "-o", "tasks.jsonl"], tmp_path)
+    assert piped.returncode == written.returncode == 0
+    assert piped.stdout and piped.stdout == (tmp_path / "tasks.jsonl").read_bytes()
+    assert written.stdout == b""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["link", "qqqqzz"], 1),
+        (["convert", "1", "poundal", "dyn/cm"], 2),
+        (["convert", "1", "zzzzqq", "meter"], 3),
+        (["score", "/nonexistent/gold.jsonl", "/nonexistent/p.jsonl"], 4),
+        (["convert", "notanumber", "meter", "centimeter"], 64),
+        ([], 64),
+    ],
+)
+def test_exit_codes_and_reports_equal_main(tmp_path, argv, code):
+    proc = cli_process(argv, tmp_path)
+    got, out, err = in_process(argv)
+    assert proc.returncode == got == code
+    assert proc.stdout.decode() == out
+    # the last stderr line is the error report (usage lines wrap to the terminal)
+    assert proc.stderr.decode().splitlines()[-1:] == err.splitlines()[-1:]
+
+
+def test_closed_stdout_exits_with_the_command_code(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "dimkit.cli", "convert", "1", "meter", "centimeter"],
+        cwd=tmp_path, env=child_env(), stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_every_skip_line_arrives(tmp_path):
+    # problems without units: every question method fails, and the skip
+    # lines fill more than a pipe buffer
+    rows = [
+        {"id": f"p{i:04d}", "body": f"Tom has {i % 7 + 2} apples and finds 3 more. ",
+         "question": "How many apples now?", "equation": f"{i % 7 + 2}+3", "answer": i % 7 + 5}
+        for i in range(1500)
+    ]
+    dataset = tmp_path / "problems.jsonl"
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    argv = ["augment", str(dataset), "--eta", "1.0", "--seed", "0", "-o", str(tmp_path / "out.jsonl")]
+    proc = cli_process(argv, tmp_path)
+    code, _, err = in_process(argv)
+    lines = proc.stderr.decode().splitlines()
+    assert proc.returncode == code == 0
+    assert len(lines) > 500 and all(line.startswith("skip p") for line in lines)
+    assert len(proc.stderr) > 65536
+    assert lines == err.splitlines()
+
+
+def test_profiler_gets_the_normal_exit(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "dimkit.cli", "convert", "1", "meter", "centimeter"],
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "100 centimeter"
+    assert any("function calls" in line for line in lines)
+    assert any(line.split()[:2] == ["ncalls", "tottime"] for line in lines)
+
+
+# Seeded commands on the packaged data, with the files each writes.
+SEEDED = {
+    "gen-tasks": (["gen-tasks", "all", "-n", "40", "--seed", "7", "-o", "tasks.jsonl"], ["tasks.jsonl"]),
+    "annotate": (["annotate", "{data}/corpus_sample.txt", "-o", "annotated.jsonl", "--review", "review.tsv"],
+                 ["annotated.jsonl", "review.tsv"]),
+    "augment": (["augment", "{data}/mwp_sample.jsonl", "--eta", "1.0", "--seed", "5", "-o", "augmented.jsonl",
+                 "--records", "records.jsonl"], ["augmented.jsonl", "records.jsonl"]),
+    "bootstrap": (["bootstrap", "{data}/triplets.tsv", "-o", "retrieved.json"], ["retrieved.json"]),
+}
+
+
+@pytest.mark.parametrize("command", SEEDED)
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, data_dir, monkeypatch, command):
+    """Seeded commands write the same bytes under any PYTHONHASHSEED, in a
+    fresh process or in-process."""
+    template, files = SEEDED[command]
+    argv = [a.format(data=data_dir) for a in template]
+    runs = {}
+    for name in ("0", "12345", "main"):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        if name == "main":
+            monkeypatch.chdir(cwd)
+            code, out, _ = in_process(argv)
+            out = out.encode()
+        else:
+            proc = cli_process(argv, cwd, PYTHONHASHSEED=name)
+            code, out = proc.returncode, proc.stdout
+        runs[name] = (code, out, [(cwd / f).read_bytes() for f in files])
+    assert runs["0"][0] == 0
+    assert runs["0"] == runs["12345"] == runs["main"]

@@ -25,7 +25,8 @@ from dimkit.mwp import (
     load_problems,
     tokenize_equation,
 )
-from dimkit.util import format_plain, jsonl_lines, write_lines
+from dimkit.linking import Mention, link
+from dimkit.util import format_plain, jsonl_lines, normalize_surface, on_word_boundary, write_lines
 from test_kb import make_record, small_kbs
 
 
@@ -129,6 +130,60 @@ class TestQuestionUnits:
         found = find_unit_mentions("How many liters per minute is that?", kb, emb)
         assert found[-1].unit_id == "L-PER-MIN"
         assert found[-1].surface == "liters per minute"
+
+
+def reference_unit_mentions(text, kb, emb, threshold=0.5):
+    """The scan as it stood before the boundary test moved first: every
+    stripped substring of up to 24 characters is normalized, then tested
+    on its word boundary."""
+    out = []
+    byte_pos = 0
+    i = 0
+    while i < len(text):
+        hit = None
+        for length in range(min(24, len(text) - i), 0, -1):
+            candidate = text[i : i + length]
+            if candidate != candidate.strip():
+                continue
+            exact = kb.surface_index.get(normalize_surface(candidate))
+            if not exact or not on_word_boundary(text, i, i + length):
+                continue
+            hit = (length, candidate, exact)
+            break
+        if hit is None:
+            byte_pos += len(text[i].encode("utf-8"))
+            i += 1
+            continue
+        length, candidate, exact = hit
+        ranked = link(kb, Mention(candidate, context=text), emb, threshold) if len(exact) > 1 else []
+        unit_id = next((c.unit_id for c in ranked if c.unit_id in exact), exact[0])
+        end = byte_pos + len(candidate.encode("utf-8"))
+        out.append(mwp.UnitMention((byte_pos, end), candidate, unit_id))
+        byte_pos = end
+        i += length
+    return out
+
+
+class TestUnitMentionScan:
+    """find_unit_mentions equals the normalize-first reference scan."""
+
+    @staticmethod
+    def texts(kb):
+        surfaces = sorted({f for r in kb.records.values() for f in r.surface_forms()})
+        filler = st.text(st.sampled_from(list("abmsxAKM019 \t\u3000.,?千克米的")), max_size=6)
+        pieces = st.one_of(st.sampled_from(surfaces), filler)
+        return st.lists(pieces, max_size=8).map("".join)
+
+    def test_packaged_problems(self, problems, kb, emb):
+        for p in problems:
+            for text in (p.body, p.question, p.text):
+                assert find_unit_mentions(text, kb, emb) == reference_unit_mentions(text, kb, emb)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, kb, emb, data):
+        text = data.draw(self.texts(kb))
+        assert find_unit_mentions(text, kb, emb) == reference_unit_mentions(text, kb, emb), text
 
 
 class TestContextFormat:

@@ -32,7 +32,7 @@ RECORDS = {
     UnitRecord: ("M", "meter", "米", ("m",), ("metre",), "SI length", ("length",), 0.9,
                  "Length", LEN, 1.0, 0.0),
     QuantityKind: ("Length", LEN, "M"),
-    BigramIndex: ({1: ("m",)}, {1: {"\x02m": (("m", 1),)}}, {"m": {"m": 1}}),
+    BigramIndex: ({1: ("m",)}, {"\x02m": (("m",),)}, {"m": {"m": 1}}, {"M": 0}),
     LinkCandidate: ("M", 0.9, 0.8, 0.5),
     QuantityMention: tuple(MENTION),
     AnnotatedSentence: ("5 m", (MENTION,), "rule+filter", 3),

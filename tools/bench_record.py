@@ -19,7 +19,10 @@ so slow drift of the machine falls on both sides alike.  The JSON holds:
 * ``runs``: every run's printed result and run record;
 * ``pairs``: per workload, each pair's metrics and head/base ratios;
 * ``summary``: per workload and metric, the median and quartiles of each
-  side, the change of the medians, and how many pairs the head won;
+  side, the change of the medians, how many pairs the head won, and
+  ``gain_shown``: the head won at least 9 of 10 pairs and its median is
+  better by more than the base's interquartile range
+  (``change_exceeds_base_iqr`` holds for a move either way);
 * ``digests``: the round-0 digest verdict of every run;
 * ``traced``: with ``--trace-seed``, each side's per-layer metrics of
   one traced run per workload and its ten largest traced self times;
@@ -109,13 +112,17 @@ def summarize(pairs: list[dict]) -> dict:
         sign = 1 if HIGHER_IS_BETTER[metric] else -1
         b, h = quartiles(base), quartiles(head)
         change = h["median"] - b["median"]
+        wins = sum(sign * (y - x) > 0 for x, y in zip(base, head))  # a tie is no win
         out[metric] = {
             "base": b,
             "head": h,
             "median_change": change / b["median"] if b["median"] else None,
-            "head_wins": sum(sign * (y - x) > 0 for x, y in zip(base, head)),
+            "head_wins": wins,
             "pairs": len(pairs),
             "change_exceeds_base_iqr": abs(change) > b["q3"] - b["q1"],
+            # a gain, not just a move: 9 of 10 pairs won and the median
+            # better by more than the base's interquartile range
+            "gain_shown": wins >= 0.9 * len(pairs) and sign * change > b["q3"] - b["q1"],
         }
     return out
 
