@@ -31,10 +31,9 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# Each command imports the modules only it runs (mwp, bootstrap,
-# quantity_text, scoring, the embedders), so convert, dim and gen-tasks
-# without annotation never load them.
-from . import tasks
+# Each command imports the modules only it runs (tasks, mwp, bootstrap,
+# quantity_text, scoring, the embedders), so convert and gen-tasks
+# without annotation never load the ones they do not run.
 from .dimension import format_symbolic
 from .errors import (
     AugmentationError,
@@ -177,7 +176,9 @@ def cmd_dim(args) -> int:
         print(f"error: cannot parse expression {args.expression!r}", file=sys.stderr)
         return EXIT_USAGE
     unit_ids = [_resolve_unit(kb, t, args.threshold) for t in terms]
-    dim = tasks.expression_dimension(kb, unit_ids, ops)
+    from .tasks import expression_dimension
+
+    dim = expression_dimension(kb, unit_ids, ops)
     print(format_symbolic(dim))
     matches = kb.units_with_dimension(dim)
     if matches:
@@ -188,7 +189,10 @@ def cmd_dim(args) -> int:
 
 
 def cmd_gen_tasks(args) -> int:
+    from . import tasks
+
     kb = _load_kb(args)
+    m = tasks.DEFAULT_CANDIDATES if args.m is None else args.m
     wanted = list(tasks.TASK_TYPES) if args.task_type == "all" else [args.task_type]
 
     options = {"dimension_arithmetic": {"max_terms": args.max_terms}}
@@ -207,7 +211,7 @@ def cmd_gen_tasks(args) -> int:
     for task_type in wanted:
         rng = derive_rng(args.seed, "gen-tasks", task_type)
         extra = options.get(task_type, {})
-        instances += tasks.generate(task_type, kb, rng, args.n, args.m, **extra)
+        instances += tasks.generate(task_type, kb, rng, args.n, m, **extra)
     write_lines((args.output, jsonl_lines(instances)))
     return EXIT_OK
 
@@ -292,19 +296,20 @@ def cmd_augment(args) -> int:
 def cmd_score(args) -> int:
     from . import quantity_text as qt
     from . import scoring
+    from .tasks import TaskInstance
 
     codec = None  # the first record decides the gold file's kind
 
     def decode(d: dict):
         nonlocal codec
-        codec = codec or (tasks.TaskInstance if "task_type" in d else qt.AnnotatedSentence)
+        codec = codec or (TaskInstance if "task_type" in d else qt.AnnotatedSentence)
         return codec.from_dict(d)
 
     gold = read_records(args.gold, decode)
     if not gold:
         print("error: empty gold file", file=sys.stderr)
         return EXIT_DATA
-    if codec is tasks.TaskInstance:
+    if codec is TaskInstance:
         preds = read_records(args.predictions, scoring.Prediction.from_dict)
         metrics = scoring.score_predictions(gold, preds)
         print("task\ttotal\tanswered\tcorrect\tprecision\trecall\tf1\taccuracy")
@@ -328,6 +333,17 @@ def cmd_score(args) -> int:
 
 # ---------------------------------------------------------------------------
 # Parser
+
+
+class _TaskTypes:
+    """gen-tasks' task_type choices: the task families, then "all".  They
+    are read from dimkit.tasks only when argparse checks or prints them,
+    so commands other than gen-tasks never load the generators."""
+
+    def __iter__(self):
+        from .tasks import TASK_TYPES
+
+        return iter((*TASK_TYPES, "all"))
 
 
 def build_parser() -> _Parser:
@@ -356,10 +372,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("gen-tasks", help="generate benchmark task instances")
-    p.add_argument("task_type", choices=[*tasks.TASK_TYPES, "all"])
+    # set after add_argument, whose metavar check would iterate the choices
+    p.add_argument("task_type").choices = _TaskTypes()
     p.add_argument("-n", type=int, default=100, help="instances per task type")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-m", type=int, default=tasks.DEFAULT_CANDIDATES, help="candidates per instance")
+    p.add_argument("-m", type=int, help="candidates per instance")
     p.add_argument("--max-terms", type=int, default=3, help="max units per arithmetic expression")
     p.add_argument(
         "--annotated",

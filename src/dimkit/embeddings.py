@@ -1,33 +1,41 @@
 """Embedding providers for context scoring.
 
 A provider exposes ``tokenize(text) -> list[str]`` and
-``vector(token) -> ndarray | None`` and must be deterministic across
+``vector(token) -> Vector | None`` and must be deterministic across
 calls with a constant vector width.  Implementations must be safe for
-concurrent reads.
+concurrent reads.  A vector brings its provider's dot product,
+``v.dot(w)``, and its support, ``v.nonzero()[0].tolist()`` (numpy's
+spelling); linking takes every norm and cosine through that dot.
 
 Two providers ship:
 
 * :class:`TrigramHashEmbedding`: character-trigram hashing into a fixed
   width.  Fully offline and deterministic, so the whole linking pipeline
   is testable without model files.  Identical tokens get identical
-  vectors (cosine 1); strings sharing trigrams get positive cosine.
+  vectors (cosine 1); strings sharing trigrams get positive cosine.  Each
+  vector is a :class:`TrigramVector`, whose dot product is plain Python
+  summed in one fixed order, so scores carry the same bits on any
+  IEEE-754 machine and interpreter, and no numpy is loaded.
 * :class:`WordVectorEmbedding`: loads a standard text vector file
   ("<count> <dim>" header, then exactly <count> "<token> <floats>"
   lines, every float finite) for realistic use with pretrained vectors.
+  Its vectors are numpy arrays, whose dot product is numpy's.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import zlib
+from array import array
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol
 
 from .errors import InputError
 from .util import read_lines
 
-# numpy is imported where vectors are built or compared, so commands that
-# never embed (convert, dim, score) do not pay for it.
+# numpy is imported only by the word-vector provider, so commands that
+# never read a vector file do not pay for it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -40,21 +48,120 @@ def tokenize(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
+class Indices(Protocol):
+    """Indices that list themselves as ints, as a numpy index array does."""
+
+    def tolist(self) -> list[int]: ...
+
+
+class Vector(Protocol):
+    """What linking reads of a vector: its provider's dot product, and the
+    indices of its nonzero entries as ``v.nonzero()[0].tolist()`` (numpy's
+    spelling, so a 1-D numpy array is a Vector)."""
+
+    def dot(self, other: Vector) -> float: ...
+
+    def nonzero(self) -> tuple[Indices]: ...
+
+
 class EmbeddingProvider(Protocol):
+    """Tokens and their vectors.  Linking takes every norm and cosine
+    through the vectors' own dot product, so the provider fixes the
+    summation order, and with it the bits of every context score."""
+
     dim: int
 
     def tokenize(self, text: str) -> list[str]: ...
 
-    def vector(self, token: str) -> np.ndarray | None: ...
+    def vector(self, token: str) -> Vector | None: ...
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    import numpy as np
-
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+def cosine(a: Vector, b: Vector) -> float:
+    """``a.dot(b)`` over the product of the norms, the token's first; 0
+    when either norm is 0.  A norm is the root of the vector's dot with
+    itself, which is ``numpy.linalg.norm``'s expression for a 1-D float
+    vector."""
+    na, nb = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    return float(a.dot(b) / (na * nb))
+
+
+# Veltkamp's splitter for a 53-bit significand: 2**27 + 1.
+_SPLIT = 134217729.0
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c with one rounding (math.fma exists only from 3.13).
+
+    Dekker's TwoProduct (1971) gives the product's rounding error
+    exactly, from Veltkamp's halves of each factor, and ``math.fsum``
+    rounds the exact sum of product, error and c correctly (Shewchuk
+    1997).  Exact while a * b neither overflows nor underflows, which
+    holds for unit-norm trigram entries.
+    """
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return c + p if err == 0.0 else math.fsum((p, err, c))
+
+
+def _lane_sum(acc: list[float]) -> float:
+    """The fixed reduction of the 32 partial sums: each 8-lane block folds
+    its upper half onto its lower one, the four blocks are added in
+    order, and the four lanes left are summed as (0 + 2) + (1 + 3)."""
+    u = [
+        (((acc[j] + acc[j + 4]) + (acc[8 + j] + acc[12 + j])) + (acc[16 + j] + acc[20 + j]))
+        + (acc[24 + j] + acc[28 + j])
+        for j in range(4)
+    ]
+    return (u[0] + u[2]) + (u[1] + u[3])
+
+
+class TrigramVector:
+    """A 512-wide vector held by its nonzero entries, in increasing index
+    order; ``v[i]`` reads any entry.
+
+    :meth:`dot` sums in the order of OpenBLAS's AVX-512 ``ddot``, the one
+    the recorded outputs encode: entry ``i`` goes into partial sum
+    ``i % 32`` by a fused multiply-add, in increasing ``i``, and the 32
+    partial sums are reduced by :func:`_lane_sum`.  Only the indices
+    where both vectors are nonzero are visited: every other product is
+    a zero, which leaves a partial sum unchanged (no partial sum is ever
+    -0.0, as the sums start at +0.0).
+    """
+
+    __slots__ = ("entries",)
+    dim = 512
+
+    def __init__(self, entries: dict[int, float]):
+        self.entries = entries
+
+    def __len__(self) -> int:
+        return self.dim
+
+    def __getitem__(self, index: int) -> float:
+        return self.entries.get(range(self.dim)[index], 0.0)
+
+    def nonzero(self) -> tuple[array]:
+        # an array of the indices: its tolist() is numpy's spelling too
+        return (array("i", self.entries),)
+
+    def dot(self, other: TrigramVector) -> float:
+        a, b = self.entries, other.entries
+        if len(b) < len(a):
+            a, b = b, a
+        acc = [0.0] * 32
+        for i, x in a.items():
+            y = b.get(i)
+            if y is not None:
+                acc[i & 31] = _fma(x, y, acc[i & 31])
+        return _lane_sum(acc)
 
 
 class TrigramHashEmbedding:
@@ -62,35 +169,34 @@ class TrigramHashEmbedding:
 
     The width keeps the cosine of unrelated tokens near zero, so context
     scores of unrelated units stay comparable instead of being dominated
-    by hash-collision noise.
+    by hash-collision noise.  A token's vector is its signed trigram
+    counts over the root of their sum of squares; a token whose counts
+    all cancel gets the zero vector.
     """
 
-    dim = 512
+    dim = TrigramVector.dim
 
     def __init__(self):
-        self._cache: dict[str, np.ndarray] = {}
+        self._cache: dict[str, TrigramVector] = {}
 
     def tokenize(self, text: str) -> list[str]:
         return tokenize(text)
 
-    def vector(self, token: str) -> np.ndarray | None:
+    def vector(self, token: str) -> TrigramVector:
         token = token.lower()
         hit = self._cache.get(token)
         if hit is not None:
             return hit
-        import numpy as np
-
         padded = f"^{token}$"
-        v = np.zeros(self.dim, dtype=np.float64)
+        counts: dict[int, int] = {}
         for i in range(max(1, len(padded) - 2)):
-            gram = padded[i : i + 3]
-            h = zlib.crc32(gram.encode("utf-8"))
-            sign = 1.0 if (h >> 16) & 1 else -1.0
-            v[h % self.dim] += sign
-        norm = np.linalg.norm(v)
-        if norm > 0:
-            v /= norm
-        self._cache[token] = v
+            h = zlib.crc32(padded[i : i + 3].encode("utf-8"))
+            index = h % self.dim
+            counts[index] = counts.get(index, 0) + (1 if (h >> 16) & 1 else -1)
+        norm = math.sqrt(sum(c * c for c in counts.values()))
+        v = self._cache[token] = TrigramVector(
+            {i: c / norm for i, c in sorted(counts.items()) if c}
+        )
         return v
 
 

@@ -27,9 +27,10 @@ each unit's keyword vectors with their norms and postings from nonzero
 index to keyword row.  A context token visits only the rows sharing a
 nonzero index with it, as any other cosine is zero; its max against a
 unit is computed once per embedder, and scores are memoized per
-(context, unit).  Every computed cosine is still one ``np.dot`` over
-the product of the two norms, so a score carries the same bits as the
-plain per-pair computation.
+(context, unit).  Every computed cosine is still one dot product of the
+embedder's own (``v.dot(k)``: a fixed-order pure-Python sum for trigram
+vectors, numpy's for word vectors) over the product of the two norms,
+so a score carries the same bits as the plain per-pair computation.
 """
 
 from __future__ import annotations
@@ -308,13 +309,14 @@ def _row(v) -> tuple:
 
     Finite vectors sharing no nonzero index have a dot product of +-0.0.
     A non-finite vector gets None for its indices: inf * 0 is nan, not 0,
-    so it meets every other vector.  The norm is ``np.linalg.norm``'s own
-    expression for a 1-D float vector, the root of ``v.dot(v)``.
+    so it meets every other vector.  So does a finite one whose squared
+    norm overflows, which is safe: pruning only skips rows whose clamped
+    cosine cannot win.  The norm is the root of the vector's dot with
+    itself, as in :func:`dimkit.embeddings.cosine`.
     """
-    import numpy as np
-
-    nonzero = v.nonzero()[0].tolist() if np.isfinite(v).all() else None
-    return v, math.sqrt(v.dot(v)), nonzero
+    square = v.dot(v)
+    nonzero = v.nonzero()[0].tolist() if math.isfinite(square) else None
+    return v, math.sqrt(square), nonzero
 
 
 def _keyword_table(rows: list[tuple]) -> tuple:
@@ -334,16 +336,15 @@ def _max_cosine(token_row: tuple, table: tuple) -> float:
 
     Only the rows sharing a nonzero index with the token, and the
     non-finite ones, are visited, in row order (a non-finite token
-    visits all).  Each cosine is ``np.dot(v, k) / (na * nb)`` with the
-    token norm na first, as in :func:`dimkit.embeddings.cosine`, and 0
-    when either norm is 0; a matrix product would sum in another order
-    and change the last bits.  An unvisited row's clamped cosine is
-    +-0.0, which never wins a max of values in [0, 1]; only as the first
-    row does it count, leading the max as 0.0, so that a later nan is
-    passed over exactly as in a max over every row.
+    visits all).  Each cosine is ``v.dot(k) / (na * nb)``, the
+    embedder's own dot product, with the token norm na first, as in
+    :func:`dimkit.embeddings.cosine`, and 0 when either norm is 0; a
+    matrix product would sum in another order and change the last bits.
+    An unvisited row's clamped cosine is +-0.0, which never wins a max of
+    values in [0, 1]; only as the first row does it count, leading the
+    max as 0.0, so that a later nan is passed over exactly as in a max
+    over every row.
     """
-    import numpy as np
-
     v, na, nonzero = token_row
     rows, postings, unpruned, _ = table
     if nonzero is None:
@@ -355,7 +356,7 @@ def _max_cosine(token_row: tuple, table: tuple) -> float:
             return 0.0
         visit = sorted(hits)
     cosines = [
-        0.0 if na == 0.0 or nb == 0.0 else min(max(float(np.dot(v, k) / (na * nb)), 0.0), 1.0)
+        0.0 if na == 0.0 or nb == 0.0 else min(max(float(v.dot(k) / (na * nb)), 0.0), 1.0)
         for k, nb, _ in map(rows.__getitem__, visit)
     ]
     if visit[0]:

@@ -44,3 +44,23 @@ def test_lower_is_better_metrics_gain_by_falling():
 def test_gain_needs_nine_wins_and_a_move_past_the_iqr(head, wins):
     s = summary(BASE, head)
     assert s["head_wins"] == wins and not s["gain_shown"]
+
+
+def test_floor_convert_is_the_command_setup_s_times(tmp_path):
+    """perfbench's setup_s runs ``python -m dimkit.cli --kb <KB> convert 1
+    meter centimeter``; the floor times that same command."""
+    kb = tmp_path / "src" / "dimkit" / "data" / "units.tsv"
+    assert bench_record.floor_command("convert", tmp_path)[1:] == [
+        "-m", "dimkit.cli", "--kb", str(kb), "convert", "1", "meter", "centimeter"]
+    in_process = bench_record.floor_command("convert_main_vmhwm", tmp_path)
+    assert in_process[1] == "-c" and in_process[2].endswith(bench_record.PRINT_VMHWM)
+
+
+def test_floor_reports_time_and_peak_rss_where_each_is_measured(monkeypatch):
+    monkeypatch.setattr(bench_record, "FLOOR_REPEATS", 1)
+    floor = bench_record.process_floor({"head": bench_record.ROOT})["head"]
+    assert all(f["samples"] == 1 for f in floor.values())
+    assert floor["convert"]["median_s"] > 0 and floor["convert"]["vmhwm_mb"] is None
+    assert floor["convert_main_vmhwm"]["median_s"] is None
+    assert floor["convert_main_vmhwm"]["vmhwm_mb"] > 0
+    assert floor["bare_interpreter"]["median_s"] > 0 and floor["bare_interpreter"]["vmhwm_mb"] > 0

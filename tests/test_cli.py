@@ -622,19 +622,23 @@ class TestStartup:
         report = self.main_in_subprocess(argv, tmp_path, data_dir, "'numpy' in sys.modules")
         assert report == "0 False\n"
 
-    # the modules each command must leave unloaded: annotate builds its
-    # embedder, but a constant oracle runs no command and no command but
-    # gen-tasks draws from a derived RNG (hashlib); no command defines a
-    # dataclass, and only annotate gets inspect, through numpy
+    # the modules each command must leave unloaded: annotate and augment
+    # build the trigram embedder, which needs no numpy; a constant oracle
+    # runs no command; only gen-tasks and augment draw from a derived RNG
+    # (hashlib); only gen-tasks loads the task generators; no command
+    # defines a dataclass or loads inspect
     UNUSED = {
-        "convert": ["dimkit.mwp", "dimkit.bootstrap", "dimkit.scoring", "dimkit.quantity_text",
-                    "subprocess", "hashlib", "dataclasses", "shlex", "inspect"],
+        "convert": ["dimkit.tasks", "dimkit.mwp", "dimkit.bootstrap", "dimkit.scoring",
+                    "dimkit.quantity_text", "subprocess", "hashlib", "dataclasses", "shlex",
+                    "inspect"],
         "gen-tasks": ["dimkit.mwp", "dimkit.bootstrap", "dimkit.scoring", "dimkit.quantity_text",
                       "subprocess", "dataclasses", "shlex", "inspect"],
-        "bootstrap": ["dimkit.mwp", "dimkit.scoring", "dimkit.embeddings", "numpy",
+        "bootstrap": ["dimkit.tasks", "dimkit.mwp", "dimkit.scoring", "dimkit.embeddings", "numpy",
                       "subprocess", "hashlib", "dataclasses", "shlex", "inspect"],
-        "annotate": ["dimkit.mwp", "dimkit.bootstrap", "dimkit.scoring", "subprocess", "hashlib",
-                     "dataclasses", "shlex"],
+        "annotate": ["dimkit.tasks", "dimkit.mwp", "dimkit.bootstrap", "dimkit.scoring", "numpy",
+                     "subprocess", "hashlib", "dataclasses", "shlex", "inspect"],
+        "augment": ["dimkit.tasks", "dimkit.bootstrap", "dimkit.scoring", "numpy", "subprocess",
+                    "dataclasses", "shlex", "inspect"],
     }
 
     @pytest.mark.parametrize(
@@ -645,6 +649,7 @@ class TestStartup:
             ["bootstrap", "{data}/triplets.tsv", "-o", "{tmp}/retrieved.json"],
             ["annotate", "{data}/corpus_sample.txt", "--oracle", "constant:5",
              "-o", "{tmp}/annotated.jsonl"],
+            ["augment", "{data}/mwp_sample.jsonl", "--eta", "1.0", "-o", "{tmp}/augmented.jsonl"],
         ],
     )
     def test_command_loads_only_its_modules(self, argv, tmp_path, data_dir):

@@ -7,6 +7,7 @@ print, write and return with in-process main().
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -148,3 +149,43 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, data_dir, monkeypatch,
         runs[name] = (code, out, [(cwd / f).read_bytes() for f in files])
     assert runs["0"][0] == 0
     assert runs["0"] == runs["12345"] == runs["main"]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# perfbench's seed-0 round-0 inputs, written by its own generators into
+# the working directory (no bytecode is written under perfbench/)
+ROUND0_INPUTS = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from pathlib import Path\n"
+    "import inputs, kbfile\n"
+    "inputs.annotate_corpus(0, 0, kbfile.read_kb(Path(sys.argv[2])), Path('corpus.txt'))\n"
+    "inputs.augment_problems(0, 0, Path('problems.jsonl'))\n"
+)
+# perfbench's round-0 commands, with the files each writes
+ROUND0 = {
+    "annotate": (["annotate", "corpus.txt", "-o", "annotated.jsonl", "--review", "review.tsv"],
+                 ["annotated.jsonl", "review.tsv"]),
+    "augment": (["augment", "problems.jsonl", "--eta", "1.0", "--seed", "0", "-o", "augmented.jsonl",
+                 "--records", "records.jsonl"], ["augmented.jsonl", "records.jsonl"]),
+}
+
+
+def test_round0_bytes_do_not_depend_on_the_blas_kernel(tmp_path, data_dir):
+    """annotate and augment write perfbench's recorded round-0 bytes under
+    the AVX-512 and the AVX2 kernel of OpenBLAS alike: context scores sum
+    in one fixed order of their own, whatever kernel numpy would pick."""
+    subprocess.run(
+        [sys.executable, "-B", "-c", ROUND0_INPUTS, str(PERFBENCH), str(data_dir / "units.tsv")],
+        cwd=tmp_path, check=True, timeout=120,
+    )
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())
+    for command, (argv, files) in ROUND0.items():
+        for kernel in ("SkylakeX", "Haswell"):
+            proc = cli_process(["--kb", str(data_dir / "units.tsv"), *argv], tmp_path,
+                               OPENBLAS_CORETYPE=kernel)
+            digest = [[proc.returncode, [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                                         for f in files]]]
+            assert digest == recorded[command]["0"], (command, kernel)
+            for f in files:
+                (tmp_path / f).unlink()

@@ -2,10 +2,10 @@
 none of them is numpy; the package's public names resolve lazily.
 
 No linter ships with the package, and deleting a function easily leaves
-the imports only it needed behind.  numpy is imported inside the
-functions that embed, so that commands which never embed (convert,
-gen-tasks, bootstrap, ...) do not pay for it.  ``import dimkit`` imports
-no submodule: ``__init__.py`` resolves each public name on first use.
+the imports only it needed behind.  numpy is imported only inside the
+word-vector provider, so that no command pays for it unless it reads a
+vector file.  ``import dimkit`` imports no submodule: ``__init__.py``
+resolves each public name on first use.
 """
 
 import ast

@@ -27,11 +27,15 @@ so slow drift of the machine falls on both sides alike.  The JSON holds:
 * ``traced``: with ``--trace-seed``, each side's per-layer metrics of
   one traced run per workload and its ten largest traced self times;
 * ``floor``: the process floor of each side, the median wall time and
-  peak RSS of fresh ``python3 -c pass``, ``import dimkit.cli``,
-  ``convert 1 meter centimeter`` (the command ``setup_s`` times, run
-  through ``dimkit.cli.main``) and ``import numpy`` processes.  Each child
-  reports its own peak RSS (``VmHWM``): the ``wait4`` max-RSS of a child
-  starts from its parent's high-water mark, so it would read this script.
+  peak RSS of fresh ``python3 -c pass``, ``import dimkit.cli`` and
+  ``import numpy`` processes, and the median wall time of
+  ``python3 -m dimkit.cli --kb <packaged KB> convert 1 meter centimeter``,
+  the command ``setup_s`` times, run as perfbench runs it.  Each ``-c``
+  child reports its own peak RSS (``VmHWM``): the ``wait4`` max-RSS of a
+  child starts from its parent's high-water mark, so it would read this
+  script.  ``convert`` leaves through ``os._exit`` and reports none, so
+  ``convert_main_vmhwm`` runs the same command through ``dimkit.cli.main``
+  in ``-c`` for its peak RSS alone.
 """
 
 from __future__ import annotations
@@ -50,13 +54,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("items_per_s", "setup_s", "peak_rss_mb")
 HIGHER_IS_BETTER = {"items_per_s": True, "setup_s": False, "peak_rss_mb": False}
+# The interpreter arguments of each floor command; {kb} is the tree's packaged KB.
 FLOOR = {
-    "bare_interpreter": "pass",
-    "import_dimkit_cli": "import dimkit.cli",
-    "convert": 'from dimkit.cli import main; main(["convert", "1", "meter", "centimeter"])',
-    "import_numpy": "import numpy",
+    "bare_interpreter": ["-c", "pass"],
+    "import_dimkit_cli": ["-c", "import dimkit.cli"],
+    "convert": ["-m", "dimkit.cli", "--kb", "{kb}", "convert", "1", "meter", "centimeter"],
+    "convert_main_vmhwm": ["-c", 'from dimkit.cli import main; main(["convert", "1", "meter", "centimeter"])'],
+    "import_numpy": ["-c", "import numpy"],
 }
-# appended to each floor command: its last stdout line is the child's VmHWM in kB
+VMHWM_ONLY = ("convert_main_vmhwm",)  # its wall time is not what setup_s times
+# appended to each -c floor command: its last stdout line is the child's VmHWM in kB
 PRINT_VMHWM = "\nprint(next(ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM:')))"
 FLOOR_REPEATS = 15  # fresh processes per side and floor command
 
@@ -136,26 +143,36 @@ def top_self_times(tree: Path, workload: str, seed: int, n: int = 10) -> list:
     return sorted(([k, round(v, 6)] for k, v in totals.items()), key=lambda kv: -kv[1])[:n]
 
 
+def floor_command(key: str, tree: Path) -> list[str]:
+    """The argv of a floor command in a tree; a -c command prints its
+    VmHWM last."""
+    args = [a.format(kb=tree / "src" / "dimkit" / "data" / "units.tsv") for a in FLOOR[key]]
+    if args[0] == "-c":
+        args[1] += PRINT_VMHWM
+    return [sys.executable, *args]
+
+
 def process_floor(trees: dict[str, Path]) -> dict:
-    """Median wall time and peak RSS (the child's own VmHWM) of fresh
-    interpreters, sides alternating."""
+    """Median wall time and peak RSS (the child's own VmHWM, for -c
+    commands) of fresh interpreters, sides alternating."""
     samples = {side: {k: [] for k in FLOOR} for side in trees}
     for i in range(FLOOR_REPEATS):
         for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
             env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "DIMKIT"))}
             env["PYTHONPATH"] = str(trees[side] / "src")
-            for key, code in FLOOR.items():
+            for key, args in FLOOR.items():
                 start = time.perf_counter()
-                proc = subprocess.run([sys.executable, "-c", code + PRINT_VMHWM], env=env,
-                                      cwd=trees[side], capture_output=True, text=True)
+                proc = subprocess.run(floor_command(key, trees[side]), env=env, cwd=trees[side],
+                                      capture_output=True, text=True)
                 wall = time.perf_counter() - start
                 if proc.returncode == 0:
-                    samples[side][key].append((wall, int(proc.stdout.split()[-1]) / 1024.0))
+                    vmhwm = int(proc.stdout.split()[-1]) / 1024.0 if args[0] == "-c" else None
+                    samples[side][key].append((wall, vmhwm))
     return {
         side: {
             key: {
-                "median_s": statistics.median(w for w, _ in s) if s else None,
-                "vmhwm_mb": statistics.median(r for _, r in s) if s else None,
+                "median_s": statistics.median(w for w, _ in s) if s and key not in VMHWM_ONLY else None,
+                "vmhwm_mb": statistics.median(r for _, r in s) if s and s[0][1] is not None else None,
                 "samples": len(s),
             }
             for key, s in by_key.items()
