@@ -26,7 +26,7 @@ from typing import NamedTuple, Protocol, Sequence
 
 from .errors import InputError
 from .kb import KnowledgeBase
-from .linking import DEFAULT_THRESHOLD
+from .linking import DEFAULT_THRESHOLD, check_threshold
 from .quantity_text import value_units
 from .util import normalize_surface, on_word_boundary, read_rows
 
@@ -165,8 +165,12 @@ def bootstrap_retrieve(
     candidates, and context scoring reorders them but never drops one
     (every KB unit has keywords).  So the result does not depend on an
     embedder, and none is used.  Surfaces are memoized per distinct
-    object, and each predicate's quantity ratio and surfaces per run.
+    object, and each predicate's quantity ratio and surfaces per run.  A
+    threshold outside (0, 1] raises InputError, even when no object is
+    read.
     """
+    check_threshold(threshold)
+
     @functools.cache
     def unit_surfaces(obj: str) -> frozenset[str]:
         units = value_units(obj, kb, threshold)

@@ -44,7 +44,7 @@ from .errors import (
     UnitResolutionError,
 )
 from .kb import KnowledgeBase, conversion_factor, load_kb, lookup_surface
-from .linking import DEFAULT_THRESHOLD, Mention, candidate_generation, link, rank_key
+from .linking import DEFAULT_THRESHOLD, Mention, candidate_generation, check_threshold, link, rank_key
 from .util import derive_rng, format_number, jsonl_lines, read_lines, read_records, write_lines
 
 if TYPE_CHECKING:
@@ -425,8 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         # checked here: some commands never generate candidates or build an embedder
-        if not 0.0 < args.threshold <= 1.0:
-            raise InputError(f"threshold must lie in (0, 1], got {args.threshold}")
+        check_threshold(args.threshold)
         if args.embedder != "trigram" and not args.embedder.startswith("vectors:"):
             raise InputError(
                 f"unknown embedder spec {args.embedder!r} (use 'trigram' or 'vectors:PATH')"

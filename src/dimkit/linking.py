@@ -14,23 +14,26 @@ returned sorted by descending score with deterministic tie-breaking.
 
 Both similarity kernels are exact.  Edit distances come from one
 kernel, the bit-parallel algorithm of Myers (J. ACM 1999) in Hyyrö's
-form for Levenshtein distance (2003), over Python ints of any width.
-Candidate generation filters the KB forms with the q-gram count bound:
-the padded bigrams a query shares with every form are counted in C, a
-Counter over per-bigram posting tuples.  One pass of a surviving form
-over a text yields its distance to every prefix of that text, so the
-prefixes of a unit window are scored in one batch
-(:func:`window_candidates`), each surviving form once per chain of
-nested prefixes, and a query's candidates are assembled from the owners
-of its admitted forms alone.  Context scores read per-embedder tables of
-each unit's keyword vectors with their norms and postings from nonzero
-index to keyword row.  A context token visits only the rows sharing a
-nonzero index with it, as any other cosine is zero; its max against a
-unit is computed once per embedder, and scores are memoized per
-(context, unit).  Every computed cosine is still one dot product of the
-embedder's own (``v.dot(k)``: a fixed-order pure-Python sum for trigram
-vectors, numpy's for word vectors) over the product of the two norms,
-so a score carries the same bits as the plain per-pair computation.
+form for Levenshtein distance (2003), over Python ints of any width,
+with several forms packed side by side in one int (Hyyrö, Fredriksson
+and Navarro, JEA 2005).  Candidate generation filters the KB forms with
+the q-gram count bound: the padded bigrams a query shares with every
+form are counted in C, a Counter over per-bigram posting tuples.  One
+pass over a text yields each packed form's distance to every prefix of
+that text, so the prefixes of a unit window are scored in one batch
+(:func:`window_candidates`), with one packed pass per chain of nested
+prefixes over the forms surviving for any of them, and a query's
+candidates are assembled from the owners of its admitted forms alone.
+Context scores read per-embedder tables of each unit's keyword vectors
+with their norms and postings from nonzero index to keyword row; keyword
+and context tokens share one table of token rows.  A context token
+visits only the rows sharing a nonzero index with it, as any other
+cosine is zero; its max against a unit is computed once per embedder,
+and scores are memoized per (context, unit).  Every computed cosine is
+still one dot product of the embedder's own (``v.dot(k)``: a fixed-order
+pure-Python sum for trigram vectors, numpy's for word vectors) over the
+product of the two norms, so a score carries the same bits as the plain
+per-pair computation.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import sys
 import weakref
 from collections import Counter
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, LinkingConfigError
 from .kb import KnowledgeBase, UnitRecord, char_masks, padded_bigrams
@@ -87,43 +90,62 @@ def rank_key(c: LinkCandidate) -> tuple:
     return (-c.score, -c.prior, c.unit_id)
 
 
-def _prefix_distances(pattern: dict[str, int], m: int, text: str) -> list[int]:
-    """levenshtein(form, text[:j]) for every j in 0..len(text), in one pass.
+def _packed_pass(
+    forms: Iterable[str], patterns: Mapping[str, dict[str, int]], text: str, columns: Container[int]
+) -> tuple[dict[str, int], dict[int, tuple[int, int]]]:
+    """One bit-parallel pass of several forms at once over a text.
 
-    pattern is :func:`dimkit.kb.char_masks` of the form and m its length.
-    Myers' bit-vector algorithm in Hyyrö's Levenshtein form: bit i of
-    the vertical delta vectors pv/mv holds the +1/-1 step between rows
-    i and i + 1 of the DP column of text[:j], and the last row of that
-    column is the distance of the whole form to text[:j].  Python ints
-    grow as needed, so the form has no length limit.
+    Myers' algorithm (J. ACM 1999) in Hyyrö's Levenshtein form, with the
+    forms packed side by side in one Python int (Hyyrö, Fredriksson and
+    Navarro, JEA 2005): ``patterns[form]`` is the form's
+    :func:`dimkit.kb.char_masks`, shifted to the form's offset.  Each
+    form is followed by one zero spare bit, so no carry of the addition
+    crosses into the next form, and after each shift every form's lowest
+    bit takes the +1 of DP row 0.  Bit i of the vertical delta vectors
+    pv/mv holds the +1/-1 step between rows i and i + 1 of the DP column
+    of ``text[:j]``; so the distance of form F to ``text[:j]`` is
+    ``j + popcount(pv & F) - popcount(mv & F)`` (:func:`_distance`), F
+    being the form's bits.  Python ints grow as needed, so neither the
+    forms nor their number has a limit.
+
+    Returns each form's bits and (pv, mv) at each column j in columns.
     """
-    if not m:
-        return list(range(len(text) + 1))
-    mask = (1 << m) - 1
-    last = 1 << (m - 1)
-    pv, mv, dist = mask, 0, m
-    out = [dist]
-    for ch in text:
-        eq = pattern.get(ch, 0)
+    peq: dict[str, int] = {}
+    bits: dict[str, int] = {}
+    lows = offset = 0
+    for form in forms:
+        for ch, b in patterns[form].items():
+            peq[ch] = peq.get(ch, 0) | b << offset
+        bits[form] = ((1 << len(form)) - 1) << offset
+        lows |= 1 << offset
+        offset += len(form) + 1
+    mask = sum(bits.values())  # every form bit, no spare bit
+    pv, mv = mask, 0
+    out = {0: (pv, mv)} if 0 in columns else {}
+    for j, ch in enumerate(text, 1):
+        eq = peq.get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & last:
-            dist += 1
-        elif mh & last:
-            dist -= 1
-        ph = (ph << 1) | 1
-        pv = ((mh << 1) | ~(xv | ph)) & mask
+        ph = ((mv | ~(xh | pv)) << 1) | lows
+        pv = (((pv & xh) << 1) | ~(xv | ph)) & mask
         mv = ph & xv
-        out.append(dist)
-    return out
+        if j in columns:
+            out[j] = (pv, mv)
+    return bits, out
+
+
+def _distance(j: int, column: tuple[int, int], form_bits: int) -> int:
+    """Edit distance of a packed form to text[:j], read off column j of
+    :func:`_packed_pass`: row 0 is j, and each row below adds its step."""
+    pv, mv = column
+    return j + (pv & form_bits).bit_count() - (mv & form_bits).bit_count()
 
 
 def levenshtein(a: str, b: str) -> int:
     """Character-level edit distance (insert/delete/substitute): the
-    last entry of :func:`_prefix_distances`."""
-    return _prefix_distances(char_masks(a), len(a), b)[-1]
+    one-form case of :func:`_packed_pass`."""
+    bits, columns = _packed_pass((a,), {a: char_masks(a)}, b, (len(b),))
+    return _distance(len(b), columns[len(b)], bits[a])
 
 
 def _similarity(distance: int, n: int, m: int) -> float:
@@ -215,8 +237,18 @@ def _surviving_forms(kb: KnowledgeBase, query: str, threshold: float) -> set[str
     return survivors
 
 
+def check_threshold(threshold: float) -> None:
+    """Reject a similarity threshold outside (0, 1]."""
+    if not (0.0 < threshold <= 1.0):
+        raise InputError(f"threshold must lie in (0, 1], got {threshold}")
+
+
 def window_candidates(
-    kb: KnowledgeBase, surfaces: Sequence[str], threshold: float = DEFAULT_THRESHOLD
+    kb: KnowledgeBase,
+    surfaces: Sequence[str],
+    threshold: float = DEFAULT_THRESHOLD,
+    *,
+    normalized: bool = False,
 ) -> list[tuple[LinkCandidate, ...]]:
     """:func:`candidate_generation` of each surface, in one batch.
 
@@ -226,18 +258,21 @@ def window_candidates(
     it heads a new chain.  (Normalization can break the prefix relation
     of raw prefixes, say when NFC composes a mark at the cut; such a
     query simply heads its own chain.)  Each query keeps its own lossless
-    bigram filter; each form surviving for some query of a chain is run
-    once against the head, which yields its distance to every prefix of
-    the head, and so to every query of the chain.  A query's candidates
+    bigram filter.  The forms surviving for any query of a chain are
+    packed into one int and run in one :func:`_packed_pass` against the
+    head, which yields each form's distance to every prefix of the head,
+    and so to every query of the chain; a query reads only its own
+    surviving forms, at the column of its length.  A query's candidates
     are then the owners of its admitted forms, each with the best
     similarity among them, in ``kb.records`` order: a unit's best form is
     admitted whenever any of its forms is, so these are the candidates and
     p_mention of the one-surface scan.  Every query's result is stored in
     ``kb.match_cache``; the returned tuples are the cached ones.
+    With ``normalized=True`` the surfaces are taken as already passed
+    through :func:`normalize_surface`, and are not normalized again.
     """
-    if not (0.0 < threshold <= 1.0):
-        raise InputError(f"threshold must lie in (0, 1], got {threshold}")
-    queries = [normalize_surface(s) for s in surfaces]
+    check_threshold(threshold)
+    queries = surfaces if normalized else [normalize_surface(s) for s in surfaces]
     cache = kb.match_cache
     misses = sorted(
         (q for q in dict.fromkeys(queries) if (q, threshold) not in cache), key=len, reverse=True
@@ -253,15 +288,15 @@ def window_candidates(
     masks, positions = kb.bigram_index.masks, kb.bigram_index.positions
     for head, members in chains:
         survivors = {q: _surviving_forms(kb, q, threshold) for q in members}
-        distances = {
-            form: _prefix_distances(masks[form], len(form), head)
-            for form in set().union(*survivors.values())
-        }
+        packed = set().union(*survivors.values())
+        bits, columns = (
+            _packed_pass(packed, masks, head, {len(q) for q in members}) if packed else ({}, {})
+        )
         for query, forms in survivors.items():
             n = len(query)
             best: dict[str, float] = {}
             for form in forms:
-                sim = _similarity(distances[form][n], n, len(form))
+                sim = _similarity(_distance(n, columns[n], bits[form]), n, len(form))
                 if _admitted(sim, threshold):
                     for unit_id in kb.surface_index[form]:
                         if sim > best.get(unit_id, 0.0):  # admitted sims are > 0
@@ -392,18 +427,22 @@ def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> f
     tokens = emb.tokenize(context)
     if not tokens:
         return 1.0
+
+    def token_row(token: str) -> tuple | None:
+        if token not in token_rows:
+            v = emb.vector(token)
+            token_rows[token] = None if v is None else _row(v)
+        return token_rows[token]
+
     table = keyword_tables.get(unit)
     if table is None:
-        vectors = (emb.vector(t) for kw in record.keywords for t in emb.tokenize(kw))
-        table = keyword_tables[unit] = _keyword_table([_row(k) for k in vectors if k is not None])
+        rows = (token_row(t) for kw in record.keywords for t in emb.tokenize(kw))
+        table = keyword_tables[unit] = _keyword_table([row for row in rows if row is not None])
     maxima = table[3]
     total = 0.0
     for token in tokens:
         if token not in maxima:
-            if token not in token_rows:
-                v = emb.vector(token)
-                token_rows[token] = None if v is None else _row(v)
-            entry = token_rows[token]
+            entry = token_row(token)
             # None: the token or the unit has no vector, and contributes 0
             maxima[token] = None if entry is None or not table[0] else _max_cosine(entry, table)
         best = maxima[token]

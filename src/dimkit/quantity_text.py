@@ -21,8 +21,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence
 
 from .kb import KnowledgeBase
-from .linking import DEFAULT_THRESHOLD, Mention, candidate_generation, link, window_candidates
-from .util import byte_replace, byte_slice, char_to_byte_offsets, read_rows
+from .linking import (
+    DEFAULT_THRESHOLD,
+    Mention,
+    candidate_generation,
+    check_threshold,
+    link,
+    window_candidates,
+)
+from .util import byte_replace, byte_slice, char_to_byte_offsets, normalize_surface, read_rows
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingProvider
@@ -239,26 +246,38 @@ def value_units(
     window prefix has a candidate.  The surface is the window prefix,
     anchored at the value's end, whose best candidate has the highest
     mention similarity (longer prefix on ties), so "dyn/cm" beats "dyn"
-    and "ml" beats "m"; all prefixes are scored in one
-    :func:`window_candidates` call.  No context is read: which unit the
-    surface links to is left to :func:`extract_quantities`.
+    and "ml" beats "m".  When some prefix normalizes to a KB surface
+    form, the longest such prefix is that surface without any scoring:
+    no prefix beats its similarity of 1.0, and ties go to the longer one.
+    Only a window without an exact prefix has all its prefixes scored, in
+    one :func:`window_candidates` call.  No context is read: which unit
+    the surface links to is left to :func:`extract_quantities`.  A
+    threshold outside (0, 1] raises InputError.
     """
+    check_threshold(threshold)
     to_byte = char_to_byte_offsets(text)
     byte_to_char = {b: c for c, b in enumerate(to_byte)}
     out = []
     for value_span, value in extract_values(text):
         win_char_start, window = _unit_window(text, byte_to_char[value_span[1]])
         prefixes = list(dict.fromkeys(window[:end].rstrip() for end in range(1, len(window) + 1)))
-        scored = [
-            (max(c.p_mention for c in candidates), len(prefix), prefix)
-            for prefix, candidates in zip(prefixes, window_candidates(kb, prefixes, threshold))
-            if candidates
-        ]
-        if not scored:
-            out.append((value_span, value, None, None))
-            continue
-        _, plen, prefix = max(scored)
-        unit_span = (to_byte[win_char_start], to_byte[win_char_start + plen])
+        queries = [normalize_surface(p) for p in prefixes]
+        exact = [p for p, q in zip(prefixes, queries) if q in kb.surface_index]
+        if exact:
+            prefix = exact[-1]
+        else:
+            scored = [
+                (max(c.p_mention for c in candidates), len(p), p)
+                for p, candidates in zip(
+                    prefixes, window_candidates(kb, queries, threshold, normalized=True)
+                )
+                if candidates
+            ]
+            if not scored:
+                out.append((value_span, value, None, None))
+                continue
+            prefix = max(scored)[2]
+        unit_span = (to_byte[win_char_start], to_byte[win_char_start + len(prefix)])
         out.append((value_span, value, unit_span, prefix))
     return out
 

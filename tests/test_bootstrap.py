@@ -292,6 +292,15 @@ class TestBootstrap:
         result = bootstrap_retrieve(store, kb, BootstrapConfig(1.0, 1, 5), 0.5)
         assert result.predicates == set()
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.5])
+    def test_threshold_outside_the_unit_interval_raises(self, kb, store, threshold):
+        # value_units takes an exact unit prefix without scoring it, and
+        # with no iteration or an empty store no object is read at all:
+        # only a check made first rejects the threshold in every case
+        for s, iterations in ((store, 1), (store, 0), (InMemoryTripletStore([]), 1)):
+            with pytest.raises(InputError):
+                bootstrap_retrieve(s, kb, BootstrapConfig(0.8, iterations, 10), threshold)
+
     def test_zero_iterations_is_seed_retrieval(self, kb, store):
         result = bootstrap_retrieve(store, kb, BootstrapConfig(0.8, 0, 10), 0.5)
         assert result.predicates == frozenset()

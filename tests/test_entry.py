@@ -152,40 +152,71 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, data_dir, monkeypatch,
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-# perfbench's seed-0 round-0 inputs, written by its own generators into
-# the working directory (no bytecode is written under perfbench/)
+# perfbench's round-0 inputs of one seed, written by its own generators
+# into the working directory (no bytecode is written under perfbench/)
 ROUND0_INPUTS = (
     "import sys\n"
     "sys.path.insert(0, sys.argv[1])\n"
     "from pathlib import Path\n"
     "import inputs, kbfile\n"
-    "inputs.annotate_corpus(0, 0, kbfile.read_kb(Path(sys.argv[2])), Path('corpus.txt'))\n"
-    "inputs.augment_problems(0, 0, Path('problems.jsonl'))\n"
+    "seed = int(sys.argv[3])\n"
+    "units = kbfile.read_kb(Path(sys.argv[2]))\n"
+    "inputs.annotate_corpus(seed, 0, units, Path('corpus.txt'))\n"
+    "inputs.augment_problems(seed, 0, Path('problems.jsonl'))\n"
+    "inputs.triplet_store(seed, 0, units, Path('triplets.tsv'))\n"
 )
-# perfbench's round-0 commands, with the files each writes
-ROUND0 = {
-    "annotate": (["annotate", "corpus.txt", "-o", "annotated.jsonl", "--review", "review.tsv"],
-                 ["annotated.jsonl", "review.tsv"]),
-    "augment": (["augment", "problems.jsonl", "--eta", "1.0", "--seed", "0", "-o", "augmented.jsonl",
-                 "--records", "records.jsonl"], ["augmented.jsonl", "records.jsonl"]),
-}
+
+
+def round0(seed):
+    """perfbench's round-0 commands of one seed, with the files each writes."""
+    return {
+        "annotate": (["annotate", "corpus.txt", "-o", "annotated.jsonl", "--review", "review.tsv"],
+                     ["annotated.jsonl", "review.tsv"]),
+        "augment": (["augment", "problems.jsonl", "--eta", "1.0", "--seed", str(seed * 1000),
+                     "-o", "augmented.jsonl", "--records", "records.jsonl"],
+                    ["augmented.jsonl", "records.jsonl"]),
+        "bootstrap": (["bootstrap", "triplets.tsv", "-o", "retrieved.json"], ["retrieved.json"]),
+    }
+
+
+def round0_digest(seed, command, cwd, kb_path, **settings):
+    """Run one round-0 command as perfbench does and fingerprint it as
+    digests.json records it: the exit code and each output's sha256."""
+    argv, files = round0(seed)[command]
+    proc = cli_process(["--kb", str(kb_path), *argv], cwd, **settings)
+    digest = [[proc.returncode, [hashlib.sha256((cwd / f).read_bytes()).hexdigest() for f in files]]]
+    for f in files:
+        (cwd / f).unlink()
+    return digest
+
+
+def write_round0_inputs(seed, cwd, kb_path):
+    subprocess.run(
+        [sys.executable, "-B", "-c", ROUND0_INPUTS, str(PERFBENCH), str(kb_path), str(seed)],
+        cwd=cwd, check=True, timeout=120,
+    )
 
 
 def test_round0_bytes_do_not_depend_on_the_blas_kernel(tmp_path, data_dir):
     """annotate and augment write perfbench's recorded round-0 bytes under
     the AVX-512 and the AVX2 kernel of OpenBLAS alike: context scores sum
     in one fixed order of their own, whatever kernel numpy would pick."""
-    subprocess.run(
-        [sys.executable, "-B", "-c", ROUND0_INPUTS, str(PERFBENCH), str(data_dir / "units.tsv")],
-        cwd=tmp_path, check=True, timeout=120,
-    )
+    kb_path = data_dir / "units.tsv"
+    write_round0_inputs(0, tmp_path, kb_path)
     recorded = json.loads((PERFBENCH / "digests.json").read_text())
-    for command, (argv, files) in ROUND0.items():
+    for command in ("annotate", "augment"):
         for kernel in ("SkylakeX", "Haswell"):
-            proc = cli_process(["--kb", str(data_dir / "units.tsv"), *argv], tmp_path,
-                               OPENBLAS_CORETYPE=kernel)
-            digest = [[proc.returncode, [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                                         for f in files]]]
+            digest = round0_digest(0, command, tmp_path, kb_path, OPENBLAS_CORETYPE=kernel)
             assert digest == recorded[command]["0"], (command, kernel)
-            for f in files:
-                (tmp_path / f).unlink()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_round0_bytes_match_the_recorded_digests(tmp_path, data_dir, seed):
+    """annotate, augment and bootstrap write perfbench's recorded round-0
+    bytes: the linking shortcuts (exact prefixes, packed passes, shared
+    rows, short dot products) change no output."""
+    kb_path = data_dir / "units.tsv"
+    write_round0_inputs(seed, tmp_path, kb_path)
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())
+    for command in ("annotate", "augment", "bootstrap"):
+        assert round0_digest(seed, command, tmp_path, kb_path) == recorded[command][str(seed)], command

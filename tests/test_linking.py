@@ -192,6 +192,23 @@ class TestLevenshtein:
             assert levenshtein(b, a) == oracle_levenshtein(a, b), (a, b)
 
 
+def packed_distances(forms, text):
+    """Each form's distance to every prefix of text, from one packed pass."""
+    bits, columns = linking._packed_pass(
+        forms, {f: char_masks(f) for f in forms}, text, range(len(text) + 1)
+    )
+    return {f: [linking._distance(j, columns[j], bits[f]) for j in range(len(text) + 1)] for f in forms}
+
+
+# forms: any Unicode; repeated characters past 64, the width of one
+# machine word; the control characters that pad bigrams; CJK
+_FORM = st.one_of(
+    st.text(max_size=12),
+    st.text(st.sampled_from("ab\u0301"), min_size=50, max_size=80),
+    st.text(st.sampled_from("ab\x02\x03米千克"), max_size=12),
+)
+
+
 class TestPrefixDistances:
     @given(
         st.one_of(st.text(max_size=70), st.text(st.sampled_from("ab\u0301"), min_size=50, max_size=70)),
@@ -199,8 +216,24 @@ class TestPrefixDistances:
     )
     @settings(max_examples=200, deadline=None)
     def test_every_prefix_matches_oracle(self, form, text):
-        got = linking._prefix_distances(char_masks(form), len(form), text)
+        got = packed_distances([form], text)[form]
         assert got == [oracle_levenshtein(form, text[:j]) for j in range(len(text) + 1)]
+
+    @given(
+        st.lists(_FORM, unique=True, max_size=8),
+        st.one_of(st.text(max_size=20), st.text(st.sampled_from("ab\x02\x03米千克"), max_size=20)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_packed_forms_match_oracle(self, forms, text):
+        """Forms packed in one int do not disturb each other: no carry or
+        shifted bit crosses a spare bit."""
+        got = packed_distances(forms, text)
+        for form in forms:
+            assert got[form] == [oracle_levenshtein(form, text[:j]) for j in range(len(text) + 1)], form
+
+    def test_empty_text_reads_each_form_length(self):
+        forms = ["", "米", "a" * 70, "\x02m\x03"]
+        assert packed_distances(forms, "") == {f: [len(f)] for f in forms}
 
 
 class TestSimilarity:
@@ -229,25 +262,21 @@ class TestSimilarity:
         assert mention_similarity(a, one_form(b)) == pytest.approx(oracle_similarity(a, b))
 
 
-def form_of(pattern, m):
-    """The string whose char_masks is pattern."""
-    return "".join(next(ch for ch, bits in pattern.items() if bits >> i & 1) for i in range(m))
-
-
 def uncached(kb: KnowledgeBase) -> KnowledgeBase:
     """The same knowledge base with an empty match cache and no index yet."""
     return KnowledgeBase(kb.records, kb.kinds, kb.surface_index, kb.dimension_index, kb.kind_index)
 
 
 def counting_kernel(calls):
-    """A _prefix_distances spy: records (text, form) and answers with the oracle."""
+    """A _packed_pass spy: records (text, frozenset of packed forms) of each
+    pass and answers with the real kernel."""
+    kernel = linking._packed_pass
 
-    def kernel(pattern, m, text):
-        form = form_of(pattern, m)
-        calls.append((text, form))
-        return [oracle_levenshtein(form, text[:j]) for j in range(len(text) + 1)]
+    def spy(forms, patterns, text, columns):
+        calls.append((text, frozenset(forms)))
+        return kernel(forms, patterns, text, columns)
 
-    return kernel
+    return spy
 
 
 class TestCandidateGeneration:
@@ -291,7 +320,7 @@ class TestCandidateGeneration:
 
     def test_surface_sharing_no_bigram_is_never_scored(self, kb, monkeypatch):
         calls = []
-        monkeypatch.setattr(linking, "_prefix_distances", counting_kernel(calls))
+        monkeypatch.setattr(linking, "_packed_pass", counting_kernel(calls))
         fresh = uncached(kb)
         assert candidate_generation(fresh, "qqqq", 0.5) == []
         assert ("qqqq", 0.5) in fresh.match_cache
@@ -300,15 +329,17 @@ class TestCandidateGeneration:
     @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.8])
     def test_only_surviving_forms_are_scored(self, kb, monkeypatch, threshold):
         calls = []
-        monkeypatch.setattr(linking, "_prefix_distances", counting_kernel(calls))
+        monkeypatch.setattr(linking, "_packed_pass", counting_kernel(calls))
         fresh = uncached(kb)
         scored = 0
         for surface, _ in random_probes(kb, 60, seed=int(threshold * 10)):
             calls.clear()
-            candidate_generation(fresh, surface, threshold)
             query = normalize_surface(surface)
+            hit = (query, threshold) in fresh.match_cache
+            candidate_generation(fresh, surface, threshold)
             survivors = linking._surviving_forms(fresh, query, threshold)
-            assert all(a == query and b in survivors for a, b in calls), surface
+            # a miss makes one pass over the query, over its surviving forms only
+            assert calls == ([] if hit or not survivors else [(query, survivors)]), surface
             scored += len(calls)
         assert scored > 0
 
@@ -375,23 +406,29 @@ class TestWindowCandidates:
 
     def test_mark_at_a_cut_starts_its_own_chain(self, kb, monkeypatch):
         calls = []
-        monkeypatch.setattr(linking, "_prefix_distances", counting_kernel(calls))
+        monkeypatch.setattr(linking, "_packed_pass", counting_kernel(calls))
         fresh = uncached(kb)
         prefixes = ["W", "W\u030a", "W\u030am"]  # normalized: "w", "\u1e98", "\u1e98m"
         window_candidates(fresh, prefixes, 0.3)
-        assert {text for text, _ in calls} == {"w", "\u1e98m"}
+        chains = {"w": ["w"], "\u1e98m": ["\u1e98", "\u1e98m"]}
+        assert sorted(calls) == sorted(
+            (head, frozenset().union(*(linking._surviving_forms(fresh, q, 0.3) for q in members)))
+            for head, members in chains.items()
+        )
         for prefix in prefixes:
             query = normalize_surface(prefix)
             assert pairs(fresh.match_cache[(query, 0.3)]) == oracle_candidates(fresh, query, 0.3)
 
     def test_one_kernel_run_per_form_and_chain(self, kb, monkeypatch):
         calls = []
-        monkeypatch.setattr(linking, "_prefix_distances", counting_kernel(calls))
+        monkeypatch.setattr(linking, "_packed_pass", counting_kernel(calls))
         fresh = uncached(kb)
         window = "kilometers per"
-        window_candidates(fresh, [window[:end] for end in range(1, len(window) + 1)], 0.5)
-        assert calls and {text for text, _ in calls} == {window}
-        assert len(calls) == len(set(calls))
+        prefixes = [window[:end] for end in range(1, len(window) + 1)]
+        window_candidates(fresh, prefixes, 0.5)
+        # one chain, so one pass, over the forms surviving for some prefix
+        survivors = [linking._surviving_forms(fresh, normalize_surface(p), 0.5) for p in prefixes]
+        assert calls == [(window, frozenset().union(*survivors))]
 
 
 class TestContextScore:

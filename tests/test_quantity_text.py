@@ -1,13 +1,16 @@
+import json
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus_fixture import gold_corpus, corpus_lines, planted_oracle_table, UNLINKABLE_PREDICTIONS
-from dimkit import quantity_text
+from dimkit import linking, quantity_text
 from dimkit.errors import InputError
-from dimkit.linking import Mention, link
+from dimkit.kb import KnowledgeBase
+from dimkit.linking import Mention, link, window_candidates
 from dimkit.quantity_text import (
     AnnotatedSentence,
     CommandOracle,
@@ -23,8 +26,18 @@ from dimkit.quantity_text import (
     rule_annotate,
     value_units,
 )
-from dimkit.util import byte_slice, char_to_byte_offsets, jsonl_lines, read_lines, read_records, write_lines
-from test_kb import small_kbs
+from dimkit.util import (
+    byte_slice,
+    char_to_byte_offsets,
+    jsonl_lines,
+    normalize_surface,
+    read_lines,
+    read_records,
+    write_lines,
+)
+from test_entry import write_round0_inputs
+from test_kb import LEN, make_record, small_kbs
+from test_linking import uncached
 
 
 def linking_every_prefix(text, kb, emb, threshold=0.5):
@@ -142,6 +155,126 @@ class TestValueUnits:
             # a surface always links: context scoring never empties its candidates
             assert (surface is not None) == (m.linked_unit is not None)
             assert (unit_span, surface or "") == (m.unit_span, m.unit_surface)
+
+
+def value_units_full_scan(text, kb, threshold=0.5):
+    """Reference value_units: every window prefix scored through
+    window_candidates, the surface being the max by (p_mention, length)."""
+    to_byte = char_to_byte_offsets(text)
+    out = []
+    for (vstart, vend), value in extract_values(text):
+        start, window = quantity_text._unit_window(text, to_byte.index(vend))
+        prefixes = [window[:end].rstrip() for end in range(1, len(window) + 1)]
+        scored = [
+            ((max(c.p_mention for c in candidates), len(prefix)), prefix)
+            for prefix, candidates in zip(prefixes, window_candidates(kb, prefixes, threshold))
+            if candidates
+        ]
+        if not scored:
+            out.append(((vstart, vend), value, None, None))
+            continue
+        (_, plen), prefix = max(scored)
+        out.append(((vstart, vend), value, (to_byte[start], to_byte[start + plen]), prefix))
+    return out
+
+
+@pytest.fixture(scope="module")
+def perfbench_round0_texts(tmp_path_factory, data_dir):
+    """perfbench's round-0 texts of seeds 0-3: annotate corpus lines, word
+    problem bodies and questions, and distinct bootstrap objects."""
+    texts = []
+    for seed in range(4):
+        d = tmp_path_factory.mktemp(f"round0-{seed}")
+        write_round0_inputs(seed, d, data_dir / "units.tsv")
+        texts += read_lines(d / "corpus.txt")
+        for problem in map(json.loads, read_lines(d / "problems.jsonl")):
+            texts += [problem["body"], problem["question"]]
+        texts += sorted({row.split("\t")[2] for row in read_lines(d / "triplets.tsv")})
+    return texts
+
+
+def jamo_kb():
+    """Forms that NFC composes across a cut: U+1100 U+1161 is U+AC00."""
+    return KnowledgeBase.from_records([
+        make_record("J1", "Length", LEN, 1.0, label_en="\u1100"),
+        make_record("J2", "Length", LEN, 2.0, label_en="\uac00m"),
+        make_record("J3", "Length", LEN, 3.0, label_en="km"),
+    ])
+
+
+class TestValueUnitsShortcut:
+    """An exact window prefix is taken without scoring; every result
+    equals the full scan of all prefixes."""
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 1.0])
+    def test_perfbench_round0_texts(self, kb, perfbench_round0_texts, threshold):
+        texts = perfbench_round0_texts
+        assert len(texts) > 1000
+        fresh = uncached(kb)
+        for text in texts:
+            assert value_units(text, fresh, threshold) == value_units_full_scan(text, kb, threshold), text
+
+    @pytest.mark.parametrize(
+        "text, surface",
+        [
+            ("5 meterz", "meter"),  # exact "meter" behind the fuzzy "meterz"
+            ("5 kmx", "km"),
+            ("5 km  ", "km"),  # trailing spaces
+            ("5 km  per", "km"),
+            ("5 kilometers  ", "kilometers"),
+        ],
+    )
+    def test_exact_prefix_behind_a_longer_one(self, kb, text, surface):
+        got = value_units(text, uncached(kb), 0.5)
+        assert got == value_units_full_scan(text, kb, 0.5)
+        assert got[0][3] == surface
+
+    @pytest.mark.parametrize(
+        "text, surface",
+        [
+            ("5 \u1100", "\u1100"),
+            ("5 \u1100\u1161", "\u1100"),  # composes to U+AC00, not a form
+            ("5 \u1100\u1161m", "\u1100\u1161m"),  # composes to the form U+AC00 m
+            ("5 \u1100\u1161mm", "\u1100\u1161m"),
+            ("5 \uac00m ", "\uac00m"),
+        ],
+    )
+    def test_nfc_composition_at_the_cut(self, text, surface):
+        kb = jamo_kb()
+        got = value_units(text, uncached(kb), 0.5)
+        assert got == value_units_full_scan(text, kb, 0.5)
+        assert got[0][3] == surface
+
+    @given(small_kbs(), st.data(), st.sampled_from([0.3, 0.5, 0.8, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_scan_on_small_kbs(self, kb, data, threshold):
+        forms = sorted({f for r in kb.records.values() for f in r.surface_forms()})
+        pieces = st.sampled_from(
+            ["3", " ", "  ", "x", "/", "\u1100", "\u1161", "\u212a", "W", *forms]
+        )
+        text = "".join(data.draw(st.lists(pieces, max_size=8)))
+        assert value_units(text, uncached(kb), threshold) == value_units_full_scan(text, kb, threshold)
+
+    def test_each_prefix_is_normalized_once(self, kb, monkeypatch):
+        text = "5 xqz/h"
+        want = value_units_full_scan(text, kb, 0.5)
+        prefixes = {"x", "xq", "xqz", "xqz/", "xqz/h"}
+        assert not prefixes & kb.surface_index.keys()  # the window is scored
+        calls = Counter()
+
+        def counting(surface):
+            calls[surface] += 1
+            return normalize_surface(surface)
+
+        monkeypatch.setattr(quantity_text, "normalize_surface", counting)
+        monkeypatch.setattr(linking, "normalize_surface", counting)
+        assert value_units(text, uncached(kb), 0.5) == want
+        assert calls == Counter(prefixes)
+
+    @pytest.mark.parametrize("threshold", [0, -0.5, 1.5, float("nan")])
+    def test_threshold_outside_the_unit_interval_raises(self, kb, threshold):
+        with pytest.raises(InputError):
+            value_units("5 m", kb, threshold=threshold)
 
 
 class TestExtractQuantities:
