@@ -204,7 +204,10 @@ class WordVectorEmbedding:
     """File-backed provider over a text vector file."""
 
     def __init__(self, path: str | Path):
-        import numpy as np
+        try:
+            import numpy as np
+        except ImportError:
+            raise InputError(f"{path}: word vectors need numpy (install dimkit[vectors])") from None
 
         lines = read_lines(path)
         lineno = 1

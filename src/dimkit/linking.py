@@ -16,24 +16,22 @@ Both similarity kernels are exact.  Edit distances come from one
 kernel, the bit-parallel algorithm of Myers (J. ACM 1999) in Hyyrö's
 form for Levenshtein distance (2003), over Python ints of any width,
 with several forms packed side by side in one int (Hyyrö, Fredriksson
-and Navarro, JEA 2005).  Candidate generation filters the KB forms with
-the q-gram count bound: the padded bigrams a query shares with every
-form are counted in C, a Counter over per-bigram posting tuples.  One
-pass over a text yields each packed form's distance to every prefix of
-that text, so the prefixes of a unit window are scored in one batch
-(:func:`window_candidates`), with one packed pass per chain of nested
-prefixes over the forms surviving for any of them, and a query's
-candidates are assembled from the owners of its admitted forms alone.
+and Navarro, JEA 2005).  :func:`candidate_generation` is the one place
+candidates are made: it filters the KB forms with the q-gram count
+bound (the padded bigrams a query shares with every form are counted in
+C, a Counter over per-bigram posting tuples), runs one packed pass of
+the surviving forms over the query, and assembles the candidates from
+the owners of the admitted forms alone.
+
 Context scores read per-embedder tables of each unit's keyword vectors
 with their norms and postings from nonzero index to keyword row; keyword
 and context tokens share one table of token rows.  A context token
 visits only the rows sharing a nonzero index with it, as any other
-cosine is zero; its max against a unit is computed once per embedder,
-and scores are memoized per (context, unit).  Every computed cosine is
-still one dot product of the embedder's own (``v.dot(k)``: a fixed-order
-pure-Python sum for trigram vectors, numpy's for word vectors) over the
-product of the two norms, so a score carries the same bits as the plain
-per-pair computation.
+cosine is zero, and its max against a unit is computed once per
+embedder.  Every computed cosine is still one dot product of the
+embedder's own (``v.dot(k)``: a fixed-order pure-Python sum for trigram
+vectors, numpy's for word vectors) over the product of the two norms,
+so a score carries the same bits as the plain per-pair computation.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import sys
 import weakref
 from collections import Counter
 from itertools import chain
-from typing import TYPE_CHECKING, Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, LinkingConfigError
 from .kb import KnowledgeBase, UnitRecord, char_masks, padded_bigrams
@@ -91,9 +89,9 @@ def rank_key(c: LinkCandidate) -> tuple:
 
 
 def _packed_pass(
-    forms: Iterable[str], patterns: Mapping[str, dict[str, int]], text: str, columns: Container[int]
-) -> tuple[dict[str, int], dict[int, tuple[int, int]]]:
-    """One bit-parallel pass of several forms at once over a text.
+    forms: Iterable[str], patterns: Mapping[str, dict[str, int]], text: str
+) -> dict[str, int]:
+    """Each form's edit distance to the text, in one bit-parallel pass.
 
     Myers' algorithm (J. ACM 1999) in Hyyrö's Levenshtein form, with the
     forms packed side by side in one Python int (Hyyrö, Fredriksson and
@@ -103,12 +101,10 @@ def _packed_pass(
     crosses into the next form, and after each shift every form's lowest
     bit takes the +1 of DP row 0.  Bit i of the vertical delta vectors
     pv/mv holds the +1/-1 step between rows i and i + 1 of the DP column
-    of ``text[:j]``; so the distance of form F to ``text[:j]`` is
-    ``j + popcount(pv & F) - popcount(mv & F)`` (:func:`_distance`), F
-    being the form's bits.  Python ints grow as needed, so neither the
-    forms nor their number has a limit.
-
-    Returns each form's bits and (pv, mv) at each column j in columns.
+    of the text read so far; so after the last character, the distance
+    of form F to the text is ``len(text) + popcount(pv & F) -
+    popcount(mv & F)``, F being the form's bits.  Python ints grow as
+    needed, so neither the forms nor their number has a limit.
     """
     peq: dict[str, int] = {}
     bits: dict[str, int] = {}
@@ -121,31 +117,21 @@ def _packed_pass(
         offset += len(form) + 1
     mask = sum(bits.values())  # every form bit, no spare bit
     pv, mv = mask, 0
-    out = {0: (pv, mv)} if 0 in columns else {}
-    for j, ch in enumerate(text, 1):
+    for ch in text:
         eq = peq.get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = ((mv | ~(xh | pv)) << 1) | lows
         pv = (((pv & xh) << 1) | ~(xv | ph)) & mask
         mv = ph & xv
-        if j in columns:
-            out[j] = (pv, mv)
-    return bits, out
-
-
-def _distance(j: int, column: tuple[int, int], form_bits: int) -> int:
-    """Edit distance of a packed form to text[:j], read off column j of
-    :func:`_packed_pass`: row 0 is j, and each row below adds its step."""
-    pv, mv = column
-    return j + (pv & form_bits).bit_count() - (mv & form_bits).bit_count()
+    n = len(text)
+    return {form: n + (pv & f).bit_count() - (mv & f).bit_count() for form, f in bits.items()}
 
 
 def levenshtein(a: str, b: str) -> int:
     """Character-level edit distance (insert/delete/substitute): the
     one-form case of :func:`_packed_pass`."""
-    bits, columns = _packed_pass((a,), {a: char_masks(a)}, b, (len(b),))
-    return _distance(len(b), columns[len(b)], bits[a])
+    return _packed_pass((a,), {a: char_masks(a)}, b)[a]
 
 
 def _similarity(distance: int, n: int, m: int) -> float:
@@ -243,71 +229,6 @@ def check_threshold(threshold: float) -> None:
         raise InputError(f"threshold must lie in (0, 1], got {threshold}")
 
 
-def window_candidates(
-    kb: KnowledgeBase,
-    surfaces: Sequence[str],
-    threshold: float = DEFAULT_THRESHOLD,
-    *,
-    normalized: bool = False,
-) -> list[tuple[LinkCandidate, ...]]:
-    """:func:`candidate_generation` of each surface, in one batch.
-
-    Built for the prefixes of one text window.  The normalized queries
-    missing from ``kb.match_cache`` are grouped into chains, longest
-    first: a query joins the first chain whose head starts with it, else
-    it heads a new chain.  (Normalization can break the prefix relation
-    of raw prefixes, say when NFC composes a mark at the cut; such a
-    query simply heads its own chain.)  Each query keeps its own lossless
-    bigram filter.  The forms surviving for any query of a chain are
-    packed into one int and run in one :func:`_packed_pass` against the
-    head, which yields each form's distance to every prefix of the head,
-    and so to every query of the chain; a query reads only its own
-    surviving forms, at the column of its length.  A query's candidates
-    are then the owners of its admitted forms, each with the best
-    similarity among them, in ``kb.records`` order: a unit's best form is
-    admitted whenever any of its forms is, so these are the candidates and
-    p_mention of the one-surface scan.  Every query's result is stored in
-    ``kb.match_cache``; the returned tuples are the cached ones.
-    With ``normalized=True`` the surfaces are taken as already passed
-    through :func:`normalize_surface`, and are not normalized again.
-    """
-    check_threshold(threshold)
-    queries = surfaces if normalized else [normalize_surface(s) for s in surfaces]
-    cache = kb.match_cache
-    misses = sorted(
-        (q for q in dict.fromkeys(queries) if (q, threshold) not in cache), key=len, reverse=True
-    )
-    chains: list[tuple[str, list[str]]] = []
-    for query in misses:
-        for head, members in chains:
-            if head.startswith(query):
-                members.append(query)
-                break
-        else:
-            chains.append((query, [query]))
-    masks, positions = kb.bigram_index.masks, kb.bigram_index.positions
-    for head, members in chains:
-        survivors = {q: _surviving_forms(kb, q, threshold) for q in members}
-        packed = set().union(*survivors.values())
-        bits, columns = (
-            _packed_pass(packed, masks, head, {len(q) for q in members}) if packed else ({}, {})
-        )
-        for query, forms in survivors.items():
-            n = len(query)
-            best: dict[str, float] = {}
-            for form in forms:
-                sim = _similarity(_distance(n, columns[n], bits[form]), n, len(form))
-                if _admitted(sim, threshold):
-                    for unit_id in kb.surface_index[form]:
-                        if sim > best.get(unit_id, 0.0):  # admitted sims are > 0
-                            best[unit_id] = sim
-            cache[(query, threshold)] = tuple(
-                LinkCandidate(unit_id=u, prior=kb.records[u].frequency, p_mention=best[u])
-                for u in sorted(best, key=positions.__getitem__)
-            )
-    return [cache[(q, threshold)] for q in queries]
-
-
 def candidate_generation(
     kb: KnowledgeBase, surface: str, threshold: float = DEFAULT_THRESHOLD
 ) -> list[LinkCandidate]:
@@ -319,23 +240,44 @@ def candidate_generation(
     its neutral 1.0.
 
     A lossless padded-bigram filter over ``kb.bigram_index`` picks the
-    forms which may pass.  Each unit owning one is scored on those forms
-    only, with exact Levenshtein distances: a dropped form is never
-    admitted, so it cannot beat an admitted one, and the result and
-    every p_mention equal :func:`mention_similarity` over all records.
+    forms which may pass, and one :func:`_packed_pass` over the
+    normalized surface gives their exact distances.  The candidates are
+    the owners of the admitted forms, each with the best similarity among
+    them, ordered by ``kb.bigram_index.positions``: a dropped form is
+    never admitted, and a unit's best form is admitted whenever any of
+    its forms is, so the result and every p_mention equal
+    :func:`mention_similarity` over all records.
 
     Results are memoized per knowledge base, normalized surface and
-    threshold; the KB is immutable after load, so cached entries never
-    go stale.  This is the one-surface call of :func:`window_candidates`.
+    threshold in ``kb.match_cache``; the KB is immutable after load, so
+    cached entries never go stale.
     """
-    return list(window_candidates(kb, (surface,), threshold)[0])
+    check_threshold(threshold)
+    query = normalize_surface(surface)
+    key = (query, threshold)
+    cached = kb.match_cache.get(key)
+    if cached is None:
+        forms = _surviving_forms(kb, query, threshold)
+        distances = _packed_pass(forms, kb.bigram_index.masks, query) if forms else {}
+        n = len(query)
+        best: dict[str, float] = {}
+        for form, distance in distances.items():
+            sim = _similarity(distance, n, len(form))
+            if _admitted(sim, threshold):
+                for unit_id in kb.surface_index[form]:
+                    if sim > best.get(unit_id, 0.0):  # admitted sims are > 0
+                        best[unit_id] = sim
+        cached = kb.match_cache[key] = tuple(
+            LinkCandidate(unit_id=u, prior=kb.records[u].frequency, p_mention=best[u])
+            for u in sorted(best, key=kb.bigram_index.positions.__getitem__)
+        )
+    return list(cached)
 
 
 # Per embedder, while it lives: the keyword table of each unit, keyed by
 # (unit_id, keywords) so that two knowledge bases sharing a unit_id stay
-# apart (see _keyword_table); the row of each context token (None without
-# a vector); and the score per (context, unit_id, keywords).  A row is
-# (vector, norm, nonzero indices), see _row.
+# apart (see _keyword_table), and the row of each token (None without a
+# vector).  A row is (vector, norm, nonzero indices), see _row.
 _CONTEXT_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -409,21 +351,16 @@ def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> f
     postings from each nonzero index to the rows holding it, and so is
     the row of each context token.  A token's max against a unit
     (:func:`_max_cosine`) depends on nothing else, so it is computed
-    once per (token, unit); scores are memoized per (context, unit) too.
-    The maxima are summed in token order, so a score carries the same
-    bits as the plain per-pair computation.
+    once per (token, unit), and a score is the sum of those maxima in
+    token order over the number of tokens: the same bits as the plain
+    per-pair computation.
     """
     if not record.keywords:
         raise LinkingConfigError(f"unit {record.unit_id} has no keywords; cannot score context")
     tables = _CONTEXT_TABLES.get(emb)
     if tables is None:
-        tables = _CONTEXT_TABLES[emb] = ({}, {}, {})
-    keyword_tables, token_rows, scores = tables
-    unit = (record.unit_id, record.keywords)
-    key = (context, *unit)
-    score = scores.get(key)
-    if score is not None:
-        return score
+        tables = _CONTEXT_TABLES[emb] = ({}, {})
+    keyword_tables, token_rows = tables
     tokens = emb.tokenize(context)
     if not tokens:
         return 1.0
@@ -434,6 +371,7 @@ def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> f
             token_rows[token] = None if v is None else _row(v)
         return token_rows[token]
 
+    unit = (record.unit_id, record.keywords)
     table = keyword_tables.get(unit)
     if table is None:
         rows = (token_row(t) for kw in record.keywords for t in emb.tokenize(kw))
@@ -448,8 +386,7 @@ def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> f
         best = maxima[token]
         if best is not None:
             total += best
-    score = scores[key] = total / len(tokens)
-    return score
+    return total / len(tokens)
 
 
 def link(

@@ -21,14 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence
 
 from .kb import KnowledgeBase
-from .linking import (
-    DEFAULT_THRESHOLD,
-    Mention,
-    candidate_generation,
-    check_threshold,
-    link,
-    window_candidates,
-)
+from .linking import DEFAULT_THRESHOLD, Mention, candidate_generation, check_threshold, link
 from .util import byte_replace, byte_slice, char_to_byte_offsets, normalize_surface, read_rows
 
 if TYPE_CHECKING:
@@ -249,10 +242,11 @@ def value_units(
     and "ml" beats "m".  When some prefix normalizes to a KB surface
     form, the longest such prefix is that surface without any scoring:
     no prefix beats its similarity of 1.0, and ties go to the longer one.
-    Only a window without an exact prefix has all its prefixes scored, in
-    one :func:`window_candidates` call.  No context is read: which unit
-    the surface links to is left to :func:`extract_quantities`.  A
-    threshold outside (0, 1] raises InputError.
+    Only a window without an exact prefix has its prefixes scored, one
+    :func:`candidate_generation` call per distinct prefix.  No context is
+    read: which unit the surface links to is left to
+    :func:`extract_quantities`.  A threshold outside (0, 1] raises
+    InputError.
     """
     check_threshold(threshold)
     to_byte = char_to_byte_offsets(text)
@@ -261,17 +255,14 @@ def value_units(
     for value_span, value in extract_values(text):
         win_char_start, window = _unit_window(text, byte_to_char[value_span[1]])
         prefixes = list(dict.fromkeys(window[:end].rstrip() for end in range(1, len(window) + 1)))
-        queries = [normalize_surface(p) for p in prefixes]
-        exact = [p for p, q in zip(prefixes, queries) if q in kb.surface_index]
+        exact = [p for p in prefixes if normalize_surface(p) in kb.surface_index]
         if exact:
             prefix = exact[-1]
         else:
             scored = [
                 (max(c.p_mention for c in candidates), len(p), p)
-                for p, candidates in zip(
-                    prefixes, window_candidates(kb, queries, threshold, normalized=True)
-                )
-                if candidates
+                for p in prefixes
+                if (candidates := candidate_generation(kb, p, threshold))
             ]
             if not scored:
                 out.append((value_span, value, None, None))

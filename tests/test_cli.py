@@ -578,6 +578,15 @@ class TestUsageAndEnvironment:
         assert code == 0
         assert out.splitlines()[1].startswith("DEG_C")
 
+    def test_vector_file_without_numpy_is_data_error(self, capsys, tmp_path, monkeypatch):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("1 2\nmeter 0.5 0.5\n", encoding="utf-8")
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy raises
+        code, out, err = run(capsys, "--embedder", f"vectors:{vectors}", "link", "meter")
+        assert code == 4
+        assert out == ""
+        assert "numpy" in err and "Traceback" not in err
+
     def test_unknown_embedder_spec(self, capsys):
         code, _, err = run(capsys, "--embedder", "bogus", "link", "kg")
         assert code == 4

@@ -214,7 +214,7 @@ def test_round0_bytes_do_not_depend_on_the_blas_kernel(tmp_path, data_dir):
 def test_round0_bytes_match_the_recorded_digests(tmp_path, data_dir, seed):
     """annotate, augment and bootstrap write perfbench's recorded round-0
     bytes: the linking shortcuts (exact prefixes, packed passes, shared
-    rows, short dot products) change no output."""
+    rows, per-token maxima) change no output."""
     kb_path = data_dir / "units.tsv"
     write_round0_inputs(seed, tmp_path, kb_path)
     recorded = json.loads((PERFBENCH / "digests.json").read_text())

@@ -29,7 +29,6 @@ from dimkit.linking import (
     levenshtein,
     link,
     mention_similarity,
-    window_candidates,
 )
 from dimkit.util import normalize_surface
 from test_kb import LEN, make_record, small_kbs
@@ -193,11 +192,11 @@ class TestLevenshtein:
 
 
 def packed_distances(forms, text):
-    """Each form's distance to every prefix of text, from one packed pass."""
-    bits, columns = linking._packed_pass(
-        forms, {f: char_masks(f) for f in forms}, text, range(len(text) + 1)
-    )
-    return {f: [linking._distance(j, columns[j], bits[f]) for j in range(len(text) + 1)] for f in forms}
+    """Each form's distance to every prefix of text, one packed pass per
+    prefix."""
+    patterns = {f: char_masks(f) for f in forms}
+    passes = [linking._packed_pass(forms, patterns, text[:j]) for j in range(len(text) + 1)]
+    return {f: [distances[f] for distances in passes] for f in forms}
 
 
 # forms: any Unicode; repeated characters past 64, the width of one
@@ -272,9 +271,9 @@ def counting_kernel(calls):
     pass and answers with the real kernel."""
     kernel = linking._packed_pass
 
-    def spy(forms, patterns, text, columns):
+    def spy(forms, patterns, text):
         calls.append((text, frozenset(forms)))
-        return kernel(forms, patterns, text, columns)
+        return kernel(forms, patterns, text)
 
     return spy
 
@@ -376,7 +375,8 @@ def windows(forms):
 
 
 class TestWindowCandidates:
-    """The batched path equals a per-prefix oracle scan, cold or warm."""
+    """The candidates of every prefix of a window equal a per-prefix
+    oracle scan, cold or warm."""
 
     def check(self, kb, data, threshold):
         forms = sorted({f for r in kb.records.values() for f in r.surface_forms()} | {"m"})
@@ -385,8 +385,7 @@ class TestWindowCandidates:
         fresh = uncached(kb)
         for prefix in data.draw(st.lists(st.sampled_from(prefixes), max_size=3)):
             candidate_generation(fresh, prefix, threshold)  # warm some entries first
-        got = window_candidates(fresh, prefixes, threshold)
-        assert len(got) == len(prefixes)
+        got = [candidate_generation(fresh, prefix, threshold) for prefix in prefixes]
         for prefix, candidates in zip(prefixes, got):
             expected = oracle_candidates(fresh, normalize_surface(prefix), threshold)
             assert pairs(candidates) == expected, prefix
@@ -404,32 +403,6 @@ class TestWindowCandidates:
     def test_matches_oracle_on_small_kbs(self, kb, data, threshold):
         self.check(kb, data, threshold)
 
-    def test_mark_at_a_cut_starts_its_own_chain(self, kb, monkeypatch):
-        calls = []
-        monkeypatch.setattr(linking, "_packed_pass", counting_kernel(calls))
-        fresh = uncached(kb)
-        prefixes = ["W", "W\u030a", "W\u030am"]  # normalized: "w", "\u1e98", "\u1e98m"
-        window_candidates(fresh, prefixes, 0.3)
-        chains = {"w": ["w"], "\u1e98m": ["\u1e98", "\u1e98m"]}
-        assert sorted(calls) == sorted(
-            (head, frozenset().union(*(linking._surviving_forms(fresh, q, 0.3) for q in members)))
-            for head, members in chains.items()
-        )
-        for prefix in prefixes:
-            query = normalize_surface(prefix)
-            assert pairs(fresh.match_cache[(query, 0.3)]) == oracle_candidates(fresh, query, 0.3)
-
-    def test_one_kernel_run_per_form_and_chain(self, kb, monkeypatch):
-        calls = []
-        monkeypatch.setattr(linking, "_packed_pass", counting_kernel(calls))
-        fresh = uncached(kb)
-        window = "kilometers per"
-        prefixes = [window[:end] for end in range(1, len(window) + 1)]
-        window_candidates(fresh, prefixes, 0.5)
-        # one chain, so one pass, over the forms surviving for some prefix
-        survivors = [linking._surviving_forms(fresh, normalize_surface(p), 0.5) for p in prefixes]
-        assert calls == [(window, frozenset().union(*survivors))]
-
 
 class TestContextScore:
     def test_identical_tokens_score_one(self, kb, emb):
@@ -446,6 +419,26 @@ class TestContextScore:
         for _ in range(2):  # raised on every call, never memoized
             with pytest.raises(LinkingConfigError):
                 context_score("any", record, emb)
+
+    def test_contexts_of_seen_tokens_add_no_table_entry(self, kb):
+        emb = TrigramHashEmbedding()
+        records = [kb.unit(u) for u in ("DEG_C", "DIOPTER", "M")]
+        words = "water temperature eyeglass lens of the today".split()
+
+        def entries():
+            tables = linking._CONTEXT_TABLES[emb]
+            return sum(map(len, tables)) + sum(len(t[3]) for t in tables[0].values())
+
+        for record in records:
+            context_score(" ".join(words), record, emb)
+        seen = entries()
+        rng = random.Random(3)
+        contexts = {" ".join(rng.choices(words, k=rng.randint(1, 6))) for _ in range(200)}
+        for context in contexts:
+            for record in records:
+                context_score(context, record, emb)
+        assert len(contexts) > 100
+        assert entries() == seen
 
     def test_degree_disambiguation_ordering(self, kb, emb):
         celsius, diopter = kb.unit("DEG_C"), kb.unit("DIOPTER")
