@@ -18,7 +18,8 @@ Two providers ship:
   IEEE-754 machine and interpreter, and no numpy is loaded.
 * :class:`WordVectorEmbedding`: loads a standard text vector file
   ("<count> <dim>" header, then exactly <count> "<token> <floats>"
-  lines, every float finite) for realistic use with pretrained vectors.
+  lines, every squared norm finite) for realistic use with pretrained
+  vectors.
   Its vectors are numpy arrays, whose dot product is numpy's.
 """
 
@@ -67,7 +68,9 @@ class Vector(Protocol):
 class EmbeddingProvider(Protocol):
     """Tokens and their vectors.  Linking takes every norm and cosine
     through the vectors' own dot product, so the provider fixes the
-    summation order, and with it the bits of every context score."""
+    summation order, and with it the bits of every context score.  Each
+    vector's dot with itself must be finite: linking raises
+    LinkingConfigError, naming the token, for one that is not."""
 
     dim: int
 
@@ -125,7 +128,7 @@ def _lane_sum(acc: list[float]) -> float:
 
 class TrigramVector:
     """A 512-wide vector held by its nonzero entries, in increasing index
-    order; ``v[i]`` reads any entry.
+    order.
 
     :meth:`dot` sums in the order of OpenBLAS's AVX-512 ``ddot``, the one
     the recorded outputs encode: entry ``i`` goes into partial sum
@@ -141,12 +144,6 @@ class TrigramVector:
 
     def __init__(self, entries: dict[int, float]):
         self.entries = entries
-
-    def __len__(self) -> int:
-        return self.dim
-
-    def __getitem__(self, index: int) -> float:
-        return self.entries.get(range(self.dim)[index], 0.0)
 
     def nonzero(self) -> tuple[array]:
         # an array of the indices: its tolist() is numpy's spelling too
@@ -222,8 +219,10 @@ class WordVectorEmbedding:
                 if len(values) != self.dim:
                     raise ValueError(f"expected {self.dim} values, got {len(values)}")
                 vector = np.asarray([float(x) for x in values], dtype=np.float64)
-                if not np.isfinite(vector).all():
-                    raise ValueError("non-finite value")
+                with np.errstate(over="ignore"):
+                    square = vector.dot(vector)
+                if not math.isfinite(square):  # a nan or inf value, or an overflowing norm
+                    raise ValueError("non-finite value or squared norm")
                 self._table[token] = vector
         except ValueError as exc:
             raise InputError(f"{path}: line {lineno}: malformed vector file ({exc})") from None

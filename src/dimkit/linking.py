@@ -23,15 +23,10 @@ C, a Counter over per-bigram posting tuples), runs one packed pass of
 the surviving forms over the query, and assembles the candidates from
 the owners of the admitted forms alone.
 
-Context scores read per-embedder tables of each unit's keyword vectors
-with their norms and postings from nonzero index to keyword row; keyword
-and context tokens share one table of token rows.  A context token
-visits only the rows sharing a nonzero index with it, as any other
-cosine is zero, and its max against a unit is computed once per
-embedder.  Every computed cosine is still one dot product of the
-embedder's own (``v.dot(k)``: a fixed-order pure-Python sum for trigram
-vectors, numpy's for word vectors) over the product of the two norms,
-so a score carries the same bits as the plain per-pair computation.
+Every cosine of a context score is one dot product of the embedder's
+own (``v.dot(k)``) over the product of the two norms, so a score carries
+the same bits as the plain per-pair computation.  Every vector's squared
+norm must be finite (see :class:`dimkit.embeddings.EmbeddingProvider`).
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ import sys
 import weakref
 from collections import Counter
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import InputError, LinkingConfigError
 from .kb import KnowledgeBase, UnitRecord, char_masks, padded_bigrams
@@ -281,64 +276,46 @@ def candidate_generation(
 _CONTEXT_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _row(v) -> tuple:
-    """A vector with its norm and the indices of its nonzero entries.
-
-    Finite vectors sharing no nonzero index have a dot product of +-0.0.
-    A non-finite vector gets None for its indices: inf * 0 is nan, not 0,
-    so it meets every other vector.  So does a finite one whose squared
-    norm overflows, which is safe: pruning only skips rows whose clamped
-    cosine cannot win.  The norm is the root of the vector's dot with
-    itself, as in :func:`dimkit.embeddings.cosine`.
-    """
+def _row(token: str, v) -> tuple:
+    """A token's vector with its norm and the indices of its nonzero
+    entries.  The norm is the root of the vector's dot with itself, as in
+    :func:`dimkit.embeddings.cosine`; a vector whose squared norm is not
+    finite breaks the provider contract and raises LinkingConfigError."""
     square = v.dot(v)
-    nonzero = v.nonzero()[0].tolist() if math.isfinite(square) else None
-    return v, math.sqrt(square), nonzero
+    if not math.isfinite(square):
+        raise LinkingConfigError(f"the vector of {token!r} has a non-finite squared norm")
+    return v, math.sqrt(square), v.nonzero()[0].tolist()
 
 
 def _keyword_table(rows: list[tuple]) -> tuple:
     """A unit's keyword rows; their postings, from each index to the
-    positions of the rows nonzero there; the positions of the non-finite
-    rows; and an empty memo of each token's max cosine against the rows."""
+    positions of the rows nonzero there; and an empty memo of each
+    token's max cosine against the rows."""
     postings: dict[int, list[int]] = {}
     for j, (_, _, nonzero) in enumerate(rows):
-        for i in nonzero or ():
+        for i in nonzero:
             postings.setdefault(i, []).append(j)
-    unpruned = tuple(j for j, row in enumerate(rows) if row[2] is None)
-    return rows, {i: tuple(js) for i, js in postings.items()}, unpruned, {}
+    return rows, {i: tuple(js) for i, js in postings.items()}, {}
 
 
 def _max_cosine(token_row: tuple, table: tuple) -> float:
     """Max over a unit's keyword rows of the clamped cosine with a token.
 
-    Only the rows sharing a nonzero index with the token, and the
-    non-finite ones, are visited, in row order (a non-finite token
-    visits all).  Each cosine is ``v.dot(k) / (na * nb)``, the
-    embedder's own dot product, with the token norm na first, as in
-    :func:`dimkit.embeddings.cosine`, and 0 when either norm is 0; a
-    matrix product would sum in another order and change the last bits.
-    An unvisited row's clamped cosine is +-0.0, which never wins a max of
-    values in [0, 1]; only as the first row does it count, leading the
-    max as 0.0, so that a later nan is passed over exactly as in a max
-    over every row.
+    Each cosine is ``v.dot(k) / (na * nb)``, the embedder's own dot
+    product, with the token norm na first, as in
+    :func:`dimkit.embeddings.cosine`, and 0 when either norm is 0.  Only
+    the rows sharing a nonzero index with the token are visited: any
+    other clamped cosine is +-0.0, which adds nothing to a score.
     """
     v, na, nonzero = token_row
-    rows, postings, unpruned, _ = table
-    if nonzero is None:
-        visit: Sequence[int] = range(len(rows))
-    else:
-        hits = {j for i in nonzero for j in postings.get(i, ())}
-        hits.update(unpruned)
-        if not hits:
-            return 0.0
-        visit = sorted(hits)
-    cosines = [
+    rows, postings, _ = table
+    hits = {j for i in nonzero for j in postings.get(i, ())}
+    if not hits:
+        return 0.0
+    return max(
         0.0 if na == 0.0 or nb == 0.0 else min(max(float(v.dot(k) / (na * nb)), 0.0), 1.0)
-        for k, nb, _ in map(rows.__getitem__, visit)
-    ]
-    if visit[0]:
-        cosines.insert(0, 0.0)
-    return max(cosines)
+        for k, nb, _ in map(rows.__getitem__, hits)
+    )
 
 
 def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> float:
@@ -347,13 +324,11 @@ def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> f
     Cosines are clamped to [0, 1] before aggregation; tokens or keywords
     without vectors contribute 0.  Empty context is neutral (1.0).
 
-    Per embedder, the keyword rows of each unit are built once, with
-    postings from each nonzero index to the rows holding it, and so is
-    the row of each context token.  A token's max against a unit
-    (:func:`_max_cosine`) depends on nothing else, so it is computed
-    once per (token, unit), and a score is the sum of those maxima in
-    token order over the number of tokens: the same bits as the plain
-    per-pair computation.
+    Per embedder, the keyword rows of each unit and the row of each token
+    are built once, and so is each token's max against a unit
+    (:func:`_max_cosine`).  A score is the sum of those maxima in token
+    order over the number of tokens: the same bits as the plain per-pair
+    computation.
     """
     if not record.keywords:
         raise LinkingConfigError(f"unit {record.unit_id} has no keywords; cannot score context")
@@ -368,7 +343,7 @@ def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> f
     def token_row(token: str) -> tuple | None:
         if token not in token_rows:
             v = emb.vector(token)
-            token_rows[token] = None if v is None else _row(v)
+            token_rows[token] = None if v is None else _row(token, v)
         return token_rows[token]
 
     unit = (record.unit_id, record.keywords)
@@ -376,16 +351,14 @@ def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> f
     if table is None:
         rows = (token_row(t) for kw in record.keywords for t in emb.tokenize(kw))
         table = keyword_tables[unit] = _keyword_table([row for row in rows if row is not None])
-    maxima = table[3]
+    maxima = table[2]
     total = 0.0
     for token in tokens:
         if token not in maxima:
             entry = token_row(token)
-            # None: the token or the unit has no vector, and contributes 0
-            maxima[token] = None if entry is None or not table[0] else _max_cosine(entry, table)
-        best = maxima[token]
-        if best is not None:
-            total += best
+            maxima[token] = 0.0 if entry is None else _max_cosine(entry, table)
+        # not sum(): from Python 3.12 it adds floats with compensation, other bits
+        total += maxima[token]
     return total / len(tokens)
 
 

@@ -46,6 +46,16 @@ def test_gain_needs_nine_wins_and_a_move_past_the_iqr(head, wins):
     assert s["head_wins"] == wins and not s["gain_shown"]
 
 
+def test_source_lines_count_the_package_modules(tmp_path):
+    package = tmp_path / "src" / "dimkit"
+    (package / "data").mkdir(parents=True)
+    (package / "a.py").write_text("import b\n\nX = 1\n")
+    (package / "b.py").write_text("Y = 2\nZ = 3")  # no final newline: wc -l counts 1
+    (package / "data" / "c.py").write_text("not a module\n")
+    (package / "notes.txt").write_text("not python\n")
+    assert bench_record.source_lines(tmp_path) == 4
+
+
 def test_floor_convert_is_the_command_setup_s_times(tmp_path):
     """perfbench's setup_s runs ``python -m dimkit.cli --kb <KB> convert 1
     meter centimeter``; the floor times that same command."""

@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,28 @@ class TestNoOutputOnFailure:
         assert code == 4
         assert stdout == ""
         assert f"{vectors}: line 2: " in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "vectors.txt"]
+
+    @pytest.mark.parametrize("command", ["link", "annotate"])
+    def test_vector_whose_squared_norm_overflows(self, capsys, tmp_path, command):
+        """Finite values whose squared norm overflows fail to load, with no
+        numpy warning: a nan score would be written as NaN, which is not JSON."""
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("3 2\nlength 1e200 1.0\nmeter 0.5 0.5\nthe 1.0 0\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("The length is 5 meter here.\n", encoding="utf-8")
+        argv = {
+            "link": ["link", "meter", "--context", "the length"],
+            "annotate": ["annotate", str(corpus), "-o", str(tmp_path / "ann.jsonl"),
+                         "--review", str(tmp_path / "rev.tsv")],
+        }[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "--embedder", f"vectors:{vectors}", *argv)
+        assert code == 4
+        assert stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {vectors}: line 2: ")
+        assert "nan" not in err.lower()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "vectors.txt"]
 
     def test_augment_records_is_directory(self, capsys, tmp_path, data_dir):

@@ -41,7 +41,7 @@ def reference_dot(x: list[float], y: list[float]) -> float:
 
 
 def dense(v: TrigramVector) -> list[float]:
-    return [v[i] for i in range(WIDTH)]
+    return [v.entries.get(i, 0.0) for i in range(WIDTH)]
 
 
 def sparse(values: list[float]) -> TrigramVector:

@@ -30,10 +30,10 @@ def child_env(**settings):
     return {**env, "PYTHONPATH": SRC, **settings}
 
 
-def cli_process(argv, cwd, **settings):
+def cli_process(argv, cwd, python=sys.executable, **settings):
     """``python -m dimkit.cli argv``, its output captured."""
     return subprocess.run(
-        [sys.executable, "-m", "dimkit.cli", *argv], cwd=cwd, env=child_env(**settings),
+        [python, "-m", "dimkit.cli", *argv], cwd=cwd, env=child_env(**settings),
         capture_output=True, timeout=120,
     )
 
@@ -179,11 +179,11 @@ def round0(seed):
     }
 
 
-def round0_digest(seed, command, cwd, kb_path, **settings):
+def round0_digest(seed, command, cwd, kb_path, python=sys.executable, **settings):
     """Run one round-0 command as perfbench does and fingerprint it as
     digests.json records it: the exit code and each output's sha256."""
     argv, files = round0(seed)[command]
-    proc = cli_process(["--kb", str(kb_path), *argv], cwd, **settings)
+    proc = cli_process(["--kb", str(kb_path), *argv], cwd, python, **settings)
     digest = [[proc.returncode, [hashlib.sha256((cwd / f).read_bytes()).hexdigest() for f in files]]]
     for f in files:
         (cwd / f).unlink()
@@ -220,3 +220,31 @@ def test_round0_bytes_match_the_recorded_digests(tmp_path, data_dir, seed):
     recorded = json.loads((PERFBENCH / "digests.json").read_text())
     for command in ("annotate", "augment", "bootstrap"):
         assert round0_digest(seed, command, tmp_path, kb_path) == recorded[command][str(seed)], command
+
+
+def pyenv_pythons(minor):
+    """The CPython builds of one minor version under $PYENV_ROOT/versions
+    (default ~/.pyenv), called by path: pyenv's shims resolve only the
+    versions a project selects."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    return sorted(root.glob(f"versions/{minor}.*/bin/python"))
+
+
+@pytest.mark.parametrize("minor", ["3.10", "3.12", "3.13"])
+def test_round0_bytes_do_not_depend_on_the_interpreter(tmp_path, data_dir, minor):
+    """annotate, augment and bootstrap write perfbench's recorded round-0
+    bytes of seed 0 under other CPython versions too.  This pins two
+    choices of context scoring: a token's max over the keyword rows it
+    meets does not depend on the order they are visited in, and a score
+    adds its maxima by an explicit ``total +=`` loop (from 3.12, sum()
+    adds floats with compensation, which changes last bits)."""
+    pythons = pyenv_pythons(minor)
+    if not pythons:
+        pytest.skip(f"no CPython {minor} under $PYENV_ROOT/versions")
+    kb_path = data_dir / "units.tsv"
+    write_round0_inputs(0, tmp_path, kb_path)
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())
+    for python in pythons:
+        for command in ("annotate", "augment", "bootstrap"):
+            digest = round0_digest(0, command, tmp_path, kb_path, python, PYTHONDONTWRITEBYTECODE="1")
+            assert digest == recorded[command]["0"], (str(python), command)

@@ -1,8 +1,9 @@
 import functools
 import gc
+import math
 import random
-import struct
 import unicodedata
+import warnings
 import weakref
 import zlib
 
@@ -427,7 +428,7 @@ class TestContextScore:
 
         def entries():
             tables = linking._CONTEXT_TABLES[emb]
-            return sum(map(len, tables)) + sum(len(t[3]) for t in tables[0].values())
+            return sum(map(len, tables)) + sum(len(t[2]) for t in tables[0].values())
 
         for record in records:
             context_score(" ".join(words), record, emb)
@@ -439,6 +440,26 @@ class TestContextScore:
                 context_score(context, record, emb)
         assert len(contexts) > 100
         assert entries() == seen
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("where", ["context", "keyword"])
+    def test_vector_with_a_non_finite_squared_norm_is_config_error(self, bad, where):
+        class TableEmbedding:
+            dim = 2
+
+            def tokenize(self, text):
+                return tokenize(text)
+
+            def vector(self, token):
+                return table.get(token)
+
+        table = {t: np.asarray(v) for t, v in {"cold": [0.0, 1.0], "hot": [bad, 0.0]}.items()}
+        emb = TableEmbedding()
+        keywords = ("cold", "hot") if where == "keyword" else ("cold",)
+        record = make_record("X", "Length", LEN, 1.0, keywords=keywords)
+        for _ in range(2):  # raised on every call, never memoized
+            with pytest.raises(LinkingConfigError, match="'hot'"):
+                context_score("cold hot", record, emb)
 
     def test_degree_disambiguation_ordering(self, kb, emb):
         celsius, diopter = kb.unit("DEG_C"), kb.unit("DIOPTER")
@@ -522,37 +543,20 @@ class TestContextScoreBits:
                 hits.setdefault(h % emb.dim, []).append(1 if (h >> 16) & 1 else -1)
             cancelled = [i for i, signs in hits.items() if len(signs) == 2 and sum(signs) == 0]
             assert cancelled, token
-            assert all(emb.vector(token)[i] == 0.0 for i in cancelled)
-            assert any(k[i] != 0.0 for k in keyword_vectors for i in cancelled), token
+            assert all(emb.vector(token).entries.get(i, 0.0) == 0.0 for i in cancelled)
+            assert any(k.entries.get(i, 0.0) != 0.0 for k in keyword_vectors for i in cancelled), token
         self.assert_bit_equal(kb, emb, extra=[" ".join(tokens), "lar water", "dek itu mot temperature"])
 
-    def test_non_finite_vectors_are_never_pruned(self):
-        class TableEmbedding:
-            dim = 3
-
-            def tokenize(self, text):
-                return tokenize(text)
-
-            def vector(self, token):
-                return table.get(token)
-
-        inf, nan = float("inf"), float("nan")
-        table = {
-            t: np.asarray(v, dtype=np.float64)
-            for t, v in {
-                "hot": [inf, 0.0, 0.0], "cold": [0.0, 1.0, 0.0], "warm": [0.0, 0.0, 2.0],
-                "wet": [nan, 0.0, 0.0], "dry": [0.0, -inf, 0.0],
-            }.items()
-        }
-        emb = TableEmbedding()
-        contexts = ["hot", "cold hot", "warm", "wet", "dry cold", "warm wet dry"]
-        with np.errstate(all="ignore"):
-            for keywords in [("cold", "hot"), ("warm",), ("dry", "warm"), ("wet", "cold")]:
-                record = make_record("X", "Length", LEN, 1.0, keywords=keywords)
-                for context in contexts:
-                    got = context_score(context, record, emb)
-                    want = oracle_context(context, record, emb)
-                    assert struct.pack("<d", got) == struct.pack("<d", want), (keywords, context)
+    def test_word_vectors_of_magnitudes_1e_150_to_1e150(self, kb, tmp_path):
+        rng = random.Random(13)
+        rows = []
+        for token in self.words(kb):
+            scale = 10.0 ** rng.choice([-150, -75, 0, 75, 150])
+            rows.append((token, [rng.choice([0.0, scale * rng.uniform(-1.0, 1.0)]) for _ in range(4)]))
+        emb = self.vector_file(tmp_path, rows, 4)
+        self.assert_bit_equal(kb, emb)
+        scores = [context_score(c, r, emb) for c in self.contexts(kb) for r in kb.records.values()]
+        assert all(map(math.isfinite, scores)) and any(0.0 < s < 1.0 for s in scores)
 
     def test_disjoint_supports_skip_the_dot_product(self, kb, monkeypatch):
         overlapping = []
@@ -671,7 +675,8 @@ class TestProviders:
     def test_trigram_determinism(self):
         a, b = TrigramHashEmbedding(), TrigramHashEmbedding()
         for token in ("meter", "温度", "kg2"):
-            assert np.allclose(a.vector(token), b.vector(token))
+            x, y = ([v.entries.get(i, 0.0) for i in range(v.dim)] for v in (a.vector(token), b.vector(token)))
+            assert np.allclose(x, y)
             assert cosine(a.vector(token), b.vector(token)) == pytest.approx(1.0)
 
     def test_trigram_tokenize(self, emb):
@@ -693,6 +698,7 @@ class TestProviders:
         path = tmp_path / "bad.txt"
         for text, line in [
             ("1 3\nwater 1.0 2.0\n", 2),
+            ("3 2\nlength 1e200 1.0\nmeter 0.5 0.5\nthe 1.0 0\n", 2),  # squared norm overflows
             ("3 2\nlength nan 1.0\nmeter 0.5 0.5\nthe inf 0\n", 2),  # cosine would be nan
             ("2 2\nmeter 0.5 0.5\nthe -inf 0\n", 3),
             ("3 2\nmeter 0.5 0.5\n", 1),  # fewer rows than the header declares
@@ -700,6 +706,7 @@ class TestProviders:
             ("1 2\n", 1),
         ]:
             path.write_text(text, encoding="utf-8")
-            with pytest.raises(InputError) as info:
+            with pytest.raises(InputError) as info, warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy overflow warning
                 WordVectorEmbedding(path)
             assert str(info.value).startswith(f"{path}: line {line}: ")

@@ -16,6 +16,8 @@ For every workload and seed the two sides run as one pair, ``--trace 0``,
 in alternating order (base first on even pairs, head first on odd ones),
 so slow drift of the machine falls on both sides alike.  The JSON holds:
 
+* ``sides``: each side's revision and ``src_lines``, the line count of
+  its ``src/dimkit/*.py`` as ``wc -l`` counts it;
 * ``runs``: every run's printed result and run record;
 * ``pairs``: per workload, each pair's metrics and head/base ratios;
 * ``summary``: per workload and metric, the median and quartiles of each
@@ -90,6 +92,11 @@ def export(rev: str | None, dest: Path) -> dict:
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return {"rev": sha, "working_tree": False}
+
+
+def source_lines(tree: Path) -> int:
+    """The number of lines of a tree's src/dimkit/*.py."""
+    return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "dimkit").glob("*.py"))
 
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -204,6 +211,8 @@ def main() -> int:
 
     trees = {"base": args.scratch / "base", "head": args.scratch / "head"}
     sides = {"base": export(args.base, trees["base"]), "head": export(args.head, trees["head"])}
+    for side, tree in trees.items():
+        sides[side]["src_lines"] = source_lines(tree)
     out = {
         "name": args.name,
         "sides": sides,
