@@ -4,8 +4,8 @@ A provider exposes ``tokenize(text) -> list[str]`` and
 ``vector(token) -> Vector | None`` and must be deterministic across
 calls with a constant vector width.  Implementations must be safe for
 concurrent reads.  A vector brings its provider's dot product,
-``v.dot(w)``, and its support, ``v.nonzero()[0].tolist()`` (numpy's
-spelling); linking takes every norm and cosine through that dot.
+``v.dot(w)``, and its support, ``v.support()``, the indices of its
+nonzero entries; linking takes every norm and cosine through that dot.
 
 Two providers ship:
 
@@ -14,31 +14,26 @@ Two providers ship:
   is testable without model files.  Identical tokens get identical
   vectors (cosine 1); strings sharing trigrams get positive cosine.  Each
   vector is a :class:`TrigramVector`, whose dot product is plain Python
-  summed in one fixed order, so scores carry the same bits on any
-  IEEE-754 machine and interpreter, and no numpy is loaded.
+  summed in one fixed order.
 * :class:`WordVectorEmbedding`: loads a standard text vector file
   ("<count> <dim>" header, then exactly <count> "<token> <floats>"
-  lines, every squared norm finite) for realistic use with pretrained
-  vectors.
-  Its vectors are numpy arrays, whose dot product is numpy's.
+  lines) for realistic use with pretrained vectors.  Each vector is a
+  :class:`WordVector`, whose dot product is correctly rounded.
+
+So every score has the same bits on any IEEE-754 machine and interpreter.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import zlib
-from array import array
 from pathlib import Path
-from typing import TYPE_CHECKING, Protocol
+from typing import Collection, Protocol
 
 from .errors import InputError
 from .util import read_lines
-
-# numpy is imported only by the word-vector provider, so commands that
-# never read a vector file do not pay for it.
-if TYPE_CHECKING:
-    import numpy as np
 
 # Latin/digit runs stay whole; each CJK character is its own token, which
 # keeps Chinese keyword matching exact without a segmenter.
@@ -49,28 +44,21 @@ def tokenize(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-class Indices(Protocol):
-    """Indices that list themselves as ints, as a numpy index array does."""
-
-    def tolist(self) -> list[int]: ...
-
-
 class Vector(Protocol):
-    """What linking reads of a vector: its provider's dot product, and the
-    indices of its nonzero entries as ``v.nonzero()[0].tolist()`` (numpy's
-    spelling, so a 1-D numpy array is a Vector)."""
+    """What linking reads of a vector: its provider's dot product, and its
+    support, the indices of its nonzero entries."""
 
     def dot(self, other: Vector) -> float: ...
 
-    def nonzero(self) -> tuple[Indices]: ...
+    def support(self) -> Collection[int]: ...
 
 
 class EmbeddingProvider(Protocol):
     """Tokens and their vectors.  Linking takes every norm and cosine
     through the vectors' own dot product, so the provider fixes the
-    summation order, and with it the bits of every context score.  Each
-    vector's dot with itself must be finite: linking raises
-    LinkingConfigError, naming the token, for one that is not."""
+    summation order, and with it the bits of every context score.  A
+    vector's dot with itself must be finite, and positive if its support
+    is not empty, or linking raises LinkingConfigError naming the token."""
 
     dim: int
 
@@ -82,12 +70,11 @@ class EmbeddingProvider(Protocol):
 def cosine(a: Vector, b: Vector) -> float:
     """``a.dot(b)`` over the product of the norms, the token's first; 0
     when either norm is 0.  A norm is the root of the vector's dot with
-    itself, which is ``numpy.linalg.norm``'s expression for a 1-D float
-    vector."""
+    itself."""
     na, nb = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(a.dot(b) / (na * nb))
+    return a.dot(b) / (na * nb)
 
 
 # Veltkamp's splitter for a 53-bit significand: 2**27 + 1.
@@ -145,9 +132,8 @@ class TrigramVector:
     def __init__(self, entries: dict[int, float]):
         self.entries = entries
 
-    def nonzero(self) -> tuple[array]:
-        # an array of the indices: its tolist() is numpy's spelling too
-        return (array("i", self.entries),)
+    def support(self) -> Collection[int]:
+        return self.entries.keys()
 
     def dot(self, other: TrigramVector) -> float:
         a, b = self.entries, other.entries
@@ -197,18 +183,28 @@ class TrigramHashEmbedding:
         return v
 
 
+class WordVector(tuple):
+    """A word vector's float entries.  :meth:`dot` rounds each product
+    once and their exact sum once (``math.fsum``), so its bits depend on
+    no machine, interpreter or order of the entries."""
+
+    __slots__ = ()
+
+    def dot(self, other: WordVector) -> float:
+        return math.fsum(map(operator.mul, self, other))
+
+    def support(self) -> Collection[int]:
+        return [i for i, x in enumerate(self) if x]
+
+
 class WordVectorEmbedding:
-    """File-backed provider over a text vector file."""
+    """File-backed provider over a text vector file.  A row fails to load
+    when its squared norm is not finite, or is 0 while a value is not."""
 
     def __init__(self, path: str | Path):
-        try:
-            import numpy as np
-        except ImportError:
-            raise InputError(f"{path}: word vectors need numpy (install dimkit[vectors])") from None
-
         lines = read_lines(path)
         lineno = 1
-        self._table: dict[str, np.ndarray] = {}
+        self._table: dict[str, WordVector] = {}
         try:
             header, *rows = lines or [""]
             count, self.dim = map(int, header.split())
@@ -218,11 +214,13 @@ class WordVectorEmbedding:
                 token, *values = line.rstrip().split(" ")
                 if len(values) != self.dim:
                     raise ValueError(f"expected {self.dim} values, got {len(values)}")
-                vector = np.asarray([float(x) for x in values], dtype=np.float64)
-                with np.errstate(over="ignore"):
+                vector = WordVector(map(float, values))
+                try:
                     square = vector.dot(vector)
-                if not math.isfinite(square):  # a nan or inf value, or an overflowing norm
-                    raise ValueError("non-finite value or squared norm")
+                except OverflowError:  # fsum's partial sum left the float range
+                    square = math.inf
+                if not (0.0 < square < math.inf or square == 0.0 and not any(vector)):
+                    raise ValueError(f"a nonzero row's squared norm is {square!r}")
                 self._table[token] = vector
         except ValueError as exc:
             raise InputError(f"{path}: line {lineno}: malformed vector file ({exc})") from None
@@ -230,5 +228,5 @@ class WordVectorEmbedding:
     def tokenize(self, text: str) -> list[str]:
         return tokenize(text)
 
-    def vector(self, token: str) -> np.ndarray | None:
+    def vector(self, token: str) -> WordVector | None:
         return self._table.get(token.lower(), self._table.get(token))

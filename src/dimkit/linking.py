@@ -26,7 +26,8 @@ the owners of the admitted forms alone.
 Every cosine of a context score is one dot product of the embedder's
 own (``v.dot(k)``) over the product of the two norms, so a score carries
 the same bits as the plain per-pair computation.  Every vector's squared
-norm must be finite (see :class:`dimkit.embeddings.EmbeddingProvider`).
+norm must be finite, and positive if its support is not empty (see
+:class:`dimkit.embeddings.EmbeddingProvider`).
 """
 
 from __future__ import annotations
@@ -272,28 +273,28 @@ def candidate_generation(
 # Per embedder, while it lives: the keyword table of each unit, keyed by
 # (unit_id, keywords) so that two knowledge bases sharing a unit_id stay
 # apart (see _keyword_table), and the row of each token (None without a
-# vector).  A row is (vector, norm, nonzero indices), see _row.
+# vector).  A row is (vector, norm, support), see _row.
 _CONTEXT_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _row(token: str, v) -> tuple:
-    """A token's vector with its norm and the indices of its nonzero
-    entries.  The norm is the root of the vector's dot with itself, as in
-    :func:`dimkit.embeddings.cosine`; a vector whose squared norm is not
-    finite breaks the provider contract and raises LinkingConfigError."""
-    square = v.dot(v)
-    if not math.isfinite(square):
-        raise LinkingConfigError(f"the vector of {token!r} has a non-finite squared norm")
-    return v, math.sqrt(square), v.nonzero()[0].tolist()
+    """A token's vector with its norm and its support.  The norm is the
+    root of the vector's dot with itself, as in
+    :func:`dimkit.embeddings.cosine`; a squared norm that is not finite,
+    or is 0 while the support is not empty, raises LinkingConfigError."""
+    square, support = v.dot(v), v.support()
+    if not (0.0 < square < math.inf or square == 0.0 and not support):
+        raise LinkingConfigError(f"the nonzero vector of {token!r} has squared norm {square!r}")
+    return v, math.sqrt(square), support
 
 
 def _keyword_table(rows: list[tuple]) -> tuple:
     """A unit's keyword rows; their postings, from each index to the
-    positions of the rows nonzero there; and an empty memo of each
-    token's max cosine against the rows."""
+    positions of the rows whose support holds it; and an empty memo of
+    each token's max cosine against the rows."""
     postings: dict[int, list[int]] = {}
-    for j, (_, _, nonzero) in enumerate(rows):
-        for i in nonzero:
+    for j, (_, _, support) in enumerate(rows):
+        for i in support:
             postings.setdefault(i, []).append(j)
     return rows, {i: tuple(js) for i, js in postings.items()}, {}
 
@@ -303,19 +304,16 @@ def _max_cosine(token_row: tuple, table: tuple) -> float:
 
     Each cosine is ``v.dot(k) / (na * nb)``, the embedder's own dot
     product, with the token norm na first, as in
-    :func:`dimkit.embeddings.cosine`, and 0 when either norm is 0.  Only
-    the rows sharing a nonzero index with the token are visited: any
+    :func:`dimkit.embeddings.cosine`.  Only the rows whose support meets
+    the token's are visited (so both norms are positive, see _row): any
     other clamped cosine is +-0.0, which adds nothing to a score.
     """
-    v, na, nonzero = token_row
+    v, na, support = token_row
     rows, postings, _ = table
-    hits = {j for i in nonzero for j in postings.get(i, ())}
+    hits = {j for i in support for j in postings.get(i, ())}
     if not hits:
         return 0.0
-    return max(
-        0.0 if na == 0.0 or nb == 0.0 else min(max(float(v.dot(k) / (na * nb)), 0.0), 1.0)
-        for k, nb, _ in map(rows.__getitem__, hits)
-    )
+    return max(min(max(v.dot(k) / (na * nb), 0.0), 1.0) for k, nb, _ in map(rows.__getitem__, hits))
 
 
 def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> float:

@@ -197,9 +197,10 @@ class TestNoOutputOnFailure:
     @pytest.mark.parametrize("command", ["link", "annotate"])
     def test_vector_whose_squared_norm_overflows(self, capsys, tmp_path, command):
         """Finite values whose squared norm overflows fail to load, with no
-        numpy warning: a nan score would be written as NaN, which is not JSON."""
+        warning: a nan score would be written as NaN, which is not JSON.  So
+        do nonzero values whose squared norm underflows to 0: the token
+        would score as the zero vector, 0 even against itself."""
         vectors = tmp_path / "vectors.txt"
-        vectors.write_text("3 2\nlength 1e200 1.0\nmeter 0.5 0.5\nthe 1.0 0\n", encoding="utf-8")
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("The length is 5 meter here.\n", encoding="utf-8")
         argv = {
@@ -207,14 +208,16 @@ class TestNoOutputOnFailure:
             "annotate": ["annotate", str(corpus), "-o", str(tmp_path / "ann.jsonl"),
                          "--review", str(tmp_path / "rev.tsv")],
         }[command]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, stdout, err = run(capsys, "--embedder", f"vectors:{vectors}", *argv)
-        assert code == 4
-        assert stdout == ""
-        assert len(err.splitlines()) == 1 and err.startswith(f"error: {vectors}: line 2: ")
-        assert "nan" not in err.lower()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "vectors.txt"]
+        for length in ("1e200 1.0", "1e154 1e154", "1e-170 3e-170"):
+            vectors.write_text(f"3 2\nlength {length}\nmeter 0.5 0.5\nthe 1.0 0\n", encoding="utf-8")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, stdout, err = run(capsys, "--embedder", f"vectors:{vectors}", *argv)
+            assert code == 4, length
+            assert stdout == ""
+            assert len(err.splitlines()) == 1 and err.startswith(f"error: {vectors}: line 2: ")
+            assert "nan" not in err.lower()
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "vectors.txt"]
 
     def test_augment_records_is_directory(self, capsys, tmp_path, data_dir):
         (tmp_path / "rec").mkdir()
@@ -601,14 +604,24 @@ class TestUsageAndEnvironment:
         assert code == 0
         assert out.splitlines()[1].startswith("DEG_C")
 
-    def test_vector_file_without_numpy_is_data_error(self, capsys, tmp_path, monkeypatch):
+    def test_vector_file_needs_no_numpy(self, capsys, tmp_path, monkeypatch):
+        """link and annotate with word vectors write the same bytes whether
+        numpy can be imported or not."""
         vectors = tmp_path / "vectors.txt"
-        vectors.write_text("1 2\nmeter 0.5 0.5\n", encoding="utf-8")
-        monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy raises
-        code, out, err = run(capsys, "--embedder", f"vectors:{vectors}", "link", "meter")
-        assert code == 4
-        assert out == ""
-        assert "numpy" in err and "Traceback" not in err
+        vectors.write_text("3 2\nlength 0.3 0.7\nmeter 0.5 -0.5\nthe 1.0 0\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("The length is 5 meter here.\nIt weighs 3 kg.\n", encoding="utf-8")
+        embedder = ["--embedder", f"vectors:{vectors}"]
+        runs = []
+        for name in ("numpy", "no-numpy"):
+            if name == "no-numpy":
+                monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy raises
+            linked = run(capsys, *embedder, "link", "meter", "--context", "the length")
+            annotated = tmp_path / f"{name}.jsonl"
+            code, _, _ = run(capsys, *embedder, "annotate", str(corpus), "-o", str(annotated))
+            runs.append((linked, code, annotated.read_bytes()))
+        assert runs[0][0][0] == runs[0][1] == 0
+        assert runs[0] == runs[1]
 
     def test_unknown_embedder_spec(self, capsys):
         code, _, err = run(capsys, "--embedder", "bogus", "link", "kg")
@@ -654,8 +667,22 @@ class TestStartup:
         report = self.main_in_subprocess(argv, tmp_path, data_dir, "'numpy' in sys.modules")
         assert report == "0 False\n"
 
-    # the modules each command must leave unloaded: annotate and augment
-    # build the trigram embedder, which needs no numpy; a constant oracle
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["link", "meter", "--context", "a meter"],
+            ["annotate", "{data}/corpus_sample.txt", "-o", "{tmp}/annotated.jsonl"],
+            ["augment", "{data}/mwp_sample.jsonl", "--eta", "1.0", "-o", "{tmp}/augmented.jsonl"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_word_vector_commands_skip_numpy(self, argv, tmp_path, data_dir):
+        argv = ["--embedder", "vectors:{tmp}/vectors.txt", *argv]
+        report = self.main_in_subprocess(argv, tmp_path, data_dir, "'numpy' in sys.modules")
+        assert report == "0 False\n"
+
+    # the modules each command must leave unloaded: no command loads
+    # numpy, whatever its embedder; a constant oracle
     # runs no command; only gen-tasks and augment draw from a derived RNG
     # (hashlib); only gen-tasks loads the task generators; no command
     # defines a dataclass or loads inspect

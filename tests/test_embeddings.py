@@ -1,11 +1,12 @@
-"""Trigram vectors and their fixed-order dot product.
+"""Trigram and word vectors and their dot products.
 
 ``TrigramVector.dot`` sums in the order of OpenBLAS's AVX-512 ``ddot``,
 the order the recorded perfbench digests and golden files encode: entry
 i goes into partial sum i % 32 by a fused multiply-add, in increasing i,
 and the 32 partial sums are reduced by a fixed tree.  Two pins: an
 exact-rational reference of that order, and numpy itself wherever its
-BLAS picks that kernel.
+BLAS picks that kernel.  ``WordVector.dot`` is the exact sum of the
+rounded products, rounded once: pinned to the same rationals.
 """
 
 import math
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimkit.embeddings import TrigramHashEmbedding, TrigramVector, cosine
+from dimkit.embeddings import TrigramHashEmbedding, TrigramVector, WordVector, cosine
 
 WIDTH = TrigramVector.dim
 
@@ -109,21 +110,20 @@ def test_trigram_dot_and_cosine_follow_the_reference(a, b):
 @settings(max_examples=200, deadline=None)
 @given(_TOKENS)
 def test_vector_is_the_normalized_count_vector(token):
-    """Each entry is the float a dense numpy vector held: +-1 per trigram
-    at its crc32 bucket, divided by the vector's norm."""
-    np = pytest.importorskip("numpy")
+    """Each entry is +-1 per trigram at its crc32 bucket, summed, over the
+    vector's norm: the root of the exact sum of the squared counts."""
     emb = TrigramHashEmbedding()
     padded = f"^{token}$"
-    v = np.zeros(WIDTH)
+    v = [0.0] * WIDTH
     for i in range(max(1, len(padded) - 2)):
         h = zlib.crc32(padded[i : i + 3].encode("utf-8"))
         v[h % WIDTH] += 1.0 if (h >> 16) & 1 else -1.0
-    norm = np.linalg.norm(v)
+    norm = math.sqrt(math.fsum(x * x for x in v))
     if norm > 0:
-        v /= norm
+        v = [x / norm for x in v]
     got = emb.vector(token)
-    assert [bits(x) for x in dense(got)] == [bits(x) for x in v.tolist()]
-    assert list(got.nonzero()[0]) == np.flatnonzero(v).tolist()
+    assert [bits(x) for x in dense(got)] == [bits(x) for x in v]
+    assert list(got.support()) == [i for i, x in enumerate(v) if x]
     assert emb.vector(token.upper()) is got
 
 
@@ -160,3 +160,23 @@ def test_matches_numpy_where_it_sums_in_the_recorded_order():
         x, y = dense_pair(seed, density=(0.02, 0.1, 0.5, 1.0)[seed % 4])
         want = float(np.dot(np.asarray(x), np.asarray(y)))
         assert bits(sparse(x).dot(sparse(y))) == bits(want), seed
+
+
+_FLOATS = st.floats(-1e150, 1e150, allow_nan=False) | st.sampled_from((0.0, -0.0, 5e-324, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_FLOATS, _FLOATS), max_size=40), st.randoms(use_true_random=False))
+def test_word_vector_dot_is_the_rounded_products_summed_exactly(pairs, r):
+    """Each product rounded once, their exact sum rounded once: so the
+    bits do not depend on the order of the entries."""
+    x, y = WordVector(a for a, _ in pairs), WordVector(b for _, b in pairs)
+    want = float(sum(Fraction(a * b) for a, b in pairs))
+    assert bits(x.dot(y)) == bits(want)
+    r.shuffle(pairs)
+    assert bits(WordVector(a for a, _ in pairs).dot(WordVector(b for _, b in pairs))) == bits(x.dot(y))
+
+
+def test_word_vector_support_is_its_nonzero_indices():
+    assert WordVector([0.0, -0.0, 2.0, 5e-324, -1.0, 0.0]).support() == [2, 3, 4]
+    assert WordVector([0.0, -0.0]).support() == []

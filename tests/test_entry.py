@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,8 @@ import pytest
 
 import dimkit
 from dimkit.cli import main
+from dimkit.embeddings import tokenize
+from dimkit.kb import load_kb
 
 SRC = str(Path(dimkit.__file__).resolve().parents[1])
 
@@ -179,14 +182,17 @@ def round0(seed):
     }
 
 
-def round0_digest(seed, command, cwd, kb_path, python=sys.executable, **settings):
-    """Run one round-0 command as perfbench does and fingerprint it as
-    digests.json records it: the exit code and each output's sha256."""
+def round0_digest(seed, command, cwd, kb_path, python=sys.executable, options=(), **settings):
+    """Run one round-0 command as perfbench does (with any global options
+    added) and fingerprint it as digests.json records it: the exit code
+    and each output's sha256."""
     argv, files = round0(seed)[command]
-    proc = cli_process(["--kb", str(kb_path), *argv], cwd, python, **settings)
-    digest = [[proc.returncode, [hashlib.sha256((cwd / f).read_bytes()).hexdigest() for f in files]]]
-    for f in files:
-        (cwd / f).unlink()
+    proc = cli_process(["--kb", str(kb_path), *options, *argv], cwd, python, **settings)
+    outputs = [cwd / f for f in files]
+    digest = [[proc.returncode, [hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else None
+                                 for p in outputs]]]
+    for p in outputs:
+        p.unlink(missing_ok=True)
     return digest
 
 
@@ -248,3 +254,37 @@ def test_round0_bytes_do_not_depend_on_the_interpreter(tmp_path, data_dir, minor
         for command in ("annotate", "augment", "bootstrap"):
             digest = round0_digest(0, command, tmp_path, kb_path, python, PYTHONDONTWRITEBYTECODE="1")
             assert digest == recorded[command]["0"], (str(python), command)
+
+
+def write_vector_file(cwd, kb_path, dim=300):
+    """A seeded word-vector file over the tokens of the round-0 corpus and
+    problems in cwd and of the KB's keywords."""
+    text = "".join((cwd / f).read_text(encoding="utf-8") for f in ("corpus.txt", "problems.jsonl"))
+    keywords = [kw for record in load_kb(kb_path).records.values() for kw in record.keywords]
+    tokens = sorted({*tokenize(text), *(t for kw in keywords for t in tokenize(kw))})
+    rng = random.Random(0)
+    rows = [" ".join([t, *(repr(rng.uniform(-1.0, 1.0)) for _ in range(dim))]) for t in tokens]
+    path = cwd / "vectors.txt"
+    path.write_text(f"{len(rows)} {dim}\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
+    return path
+
+
+def test_round0_word_vector_bytes_do_not_depend_on_the_kernel_or_interpreter(tmp_path, data_dir):
+    """annotate and augment with ``--embedder vectors:`` write the same
+    bytes under the AVX-512 and the AVX2 kernel of OpenBLAS and under
+    every CPython 3.10, 3.12 and 3.13 present: a word vector's dot
+    product is correctly rounded, so neither choice reaches its bits."""
+    kb_path = data_dir / "units.tsv"
+    write_round0_inputs(0, tmp_path, kb_path)
+    options = ["--embedder", f"vectors:{write_vector_file(tmp_path, kb_path)}"]
+    runs = {kernel: (sys.executable, {"OPENBLAS_CORETYPE": kernel}) for kernel in ("SkylakeX", "Haswell")}
+    for minor in ("3.10", "3.12", "3.13"):
+        runs.update({str(python): (python, {"PYTHONDONTWRITEBYTECODE": "1"}) for python in pyenv_pythons(minor)})
+    for command in ("annotate", "augment"):
+        digests = {
+            name: round0_digest(0, command, tmp_path, kb_path, python, options, **settings)
+            for name, (python, settings) in runs.items()
+        }
+        want = digests["SkylakeX"]
+        assert want[0][0] == 0, command
+        assert {name: d for name, d in digests.items() if d != want} == {}, command

@@ -7,7 +7,6 @@ import warnings
 import weakref
 import zlib
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +15,7 @@ from dimkit.dimension import DimensionVector
 from dimkit.embeddings import (
     TrigramHashEmbedding,
     TrigramVector,
+    WordVector,
     WordVectorEmbedding,
     cosine,
     tokenize,
@@ -441,9 +441,12 @@ class TestContextScore:
         assert len(contexts) > 100
         assert entries() == seen
 
-    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
-    @pytest.mark.parametrize("where", ["context", "keyword"])
-    def test_vector_with_a_non_finite_squared_norm_is_config_error(self, bad, where):
+    @staticmethod
+    def assert_hot_is_config_error(hot, where):
+        """context_score over a provider that hands out rows unchecked
+        raises, naming the token, whether "hot" is a context token or a
+        keyword."""
+
         class TableEmbedding:
             dim = 2
 
@@ -453,13 +456,25 @@ class TestContextScore:
             def vector(self, token):
                 return table.get(token)
 
-        table = {t: np.asarray(v) for t, v in {"cold": [0.0, 1.0], "hot": [bad, 0.0]}.items()}
-        emb = TableEmbedding()
+        table = {"cold": WordVector([0.0, 1.0]), "hot": WordVector(hot)}
         keywords = ("cold", "hot") if where == "keyword" else ("cold",)
         record = make_record("X", "Length", LEN, 1.0, keywords=keywords)
         for _ in range(2):  # raised on every call, never memoized
             with pytest.raises(LinkingConfigError, match="'hot'"):
-                context_score("cold hot", record, emb)
+                context_score("cold hot", record, TableEmbedding())
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("where", ["context", "keyword"])
+    def test_vector_with_a_non_finite_squared_norm_is_config_error(self, bad, where):
+        self.assert_hot_is_config_error([bad, 0.0], where)
+
+    @pytest.mark.parametrize("where", ["context", "keyword"])
+    def test_nonzero_vector_with_a_zero_squared_norm_is_config_error(self, where):
+        """A nonzero vector whose squared norm underflows to 0 would score
+        as the zero vector, even against itself."""
+        hot = [1e-170, 3e-170]
+        assert WordVector(hot).dot(WordVector(hot)) == 0.0
+        self.assert_hot_is_config_error(hot, where)
 
     def test_degree_disambiguation_ordering(self, kb, emb):
         celsius, diopter = kb.unit("DEG_C"), kb.unit("DIOPTER")
@@ -509,7 +524,7 @@ class TestContextScoreBits:
                 values = [rng.choice([-0.0, -0.0, 0.0, rng.uniform(-2.0, 2.0)]) for _ in range(4)]
             rows.append((token, values))
         emb = self.vector_file(tmp_path, rows, 4)
-        assert any(np.signbit(emb.vector(t)).any() for t, _ in rows)
+        assert any(math.copysign(1.0, x) < 0.0 for t, _ in rows for x in emb.vector(t))
         self.assert_bit_equal(kb, emb)
 
     def test_keyword_rows_sharing_one_index(self, kb, tmp_path):
@@ -521,7 +536,7 @@ class TestContextScoreBits:
                 values[j] = rng.uniform(-3.0, 3.0)
             rows.append((token, values))
         emb = self.vector_file(tmp_path, rows, 8)
-        support = {t: set(np.flatnonzero(emb.vector(t))) for t, _ in rows}
+        support = {t: set(emb.vector(t).support()) for t, _ in rows}
         keyword_tokens = {t for r in kb.records.values() for kw in r.keywords for t in tokenize(kw)}
         context_tokens = {t for c in self.contexts(kb) for t in tokenize(c)}
         assert any(
@@ -564,7 +579,7 @@ class TestContextScoreBits:
 
         def dot(a, b):
             if a is not b:  # not a norm
-                overlapping.append(bool(set(a.nonzero()[0]) & set(b.nonzero()[0])))
+                overlapping.append(bool(set(a.support()) & set(b.support())))
             return real_dot(a, b)
 
         monkeypatch.setattr(TrigramVector, "dot", dot)
@@ -676,7 +691,7 @@ class TestProviders:
         a, b = TrigramHashEmbedding(), TrigramHashEmbedding()
         for token in ("meter", "温度", "kg2"):
             x, y = ([v.entries.get(i, 0.0) for i in range(v.dim)] for v in (a.vector(token), b.vector(token)))
-            assert np.allclose(x, y)
+            assert all(map(math.isclose, x, y))
             assert cosine(a.vector(token), b.vector(token)) == pytest.approx(1.0)
 
     def test_trigram_tokenize(self, emb):
@@ -699,6 +714,8 @@ class TestProviders:
         for text, line in [
             ("1 3\nwater 1.0 2.0\n", 2),
             ("3 2\nlength 1e200 1.0\nmeter 0.5 0.5\nthe 1.0 0\n", 2),  # squared norm overflows
+            ("3 2\nmeter 0.5 0.5\nlength 1e154 1e154\nthe 1.0 0\n", 3),  # so does fsum's partial sum
+            ("3 2\nlength 1e-170 3e-170\nmeter 0.5 0.5\nthe 1.0 0\n", 2),  # squared norm underflows to 0
             ("3 2\nlength nan 1.0\nmeter 0.5 0.5\nthe inf 0\n", 2),  # cosine would be nan
             ("2 2\nmeter 0.5 0.5\nthe -inf 0\n", 3),
             ("3 2\nmeter 0.5 0.5\n", 1),  # fewer rows than the header declares
@@ -707,6 +724,6 @@ class TestProviders:
         ]:
             path.write_text(text, encoding="utf-8")
             with pytest.raises(InputError) as info, warnings.catch_warnings():
-                warnings.simplefilter("error")  # no numpy overflow warning
+                warnings.simplefilter("error")  # no overflow warning
                 WordVectorEmbedding(path)
             assert str(info.value).startswith(f"{path}: line {line}: ")
