@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import random
 from pathlib import Path
-from typing import NamedTuple, Protocol, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
 from .kb import KnowledgeBase
@@ -38,14 +38,6 @@ class Triplet(NamedTuple):
     subject: str
     predicate: str
     obj: str
-
-
-class TripletStore(Protocol):
-    def triplets_with_predicate(self, predicate: str) -> list[Triplet]: ...
-
-    def triplets_with_object_containing(self, mention: str) -> list[Triplet]: ...
-
-    def all_predicates(self) -> list[str]: ...
 
 
 def object_contains(obj: str, mention: str) -> bool:
@@ -152,7 +144,7 @@ def seed_mentions(kb: KnowledgeBase, count: int) -> frozenset[str]:
 
 
 def bootstrap_retrieve(
-    store: TripletStore,
+    store: InMemoryTripletStore,
     kb: KnowledgeBase,
     config: BootstrapConfig = BootstrapConfig(),
     threshold: float = DEFAULT_THRESHOLD,

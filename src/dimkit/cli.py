@@ -27,7 +27,6 @@ import math
 import os
 import shutil
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -75,7 +74,7 @@ def default_kb_path() -> Path:
 
 
 def packaged_data(name: str) -> Path:
-    return Path(str(resources.files("dimkit").joinpath(f"data/{name}")))
+    return Path(__file__).parent / "data" / name
 
 
 def _load_kb(args) -> KnowledgeBase:

@@ -140,13 +140,10 @@ def _similarity(distance: int, n: int, m: int) -> float:
 def mention_similarity(surface: str, record: UnitRecord) -> float:
     """Best similarity over all of the record's surface forms."""
     query = normalize_surface(surface)
-    best = 0.0
-    for nf in record.normalized_forms:
-        # the edit distance is at least the length difference, so this
-        # upper-bounds the similarity; skip forms that cannot improve
-        if _similarity(abs(len(query) - len(nf)), len(query), len(nf)) > best:
-            best = max(best, _similarity(levenshtein(query, nf), len(query), len(nf)))
-    return best
+    return max(
+        (_similarity(levenshtein(query, nf), len(query), len(nf)) for nf in record.normalized_forms),
+        default=0.0,
+    )
 
 
 def _admitted(sim: float, threshold: float) -> bool:

@@ -46,6 +46,7 @@ from .util import (
     normalize_surface,
     on_word_boundary,
     read_records,
+    text_field,
 )
 
 #: context_dimension rejects rewritten values outside this band so
@@ -199,17 +200,20 @@ class MwpProblem(NamedTuple):
     def from_dict(cls, d: dict) -> "MwpProblem":
         return cls(
             id=str(d["id"]),
-            body=d["body"],
-            question=d["question"],
-            equation=d["equation"],
+            body=text_field(d["body"]),
+            question=text_field(d["question"]),
+            equation=text_field(d["equation"]),
             answer=float(d["answer"]),
-            answer_unit=d.get("answer_unit"),
+            answer_unit=text_field(d.get("answer_unit"), nullable=True),
         )
 
     def check(self) -> None:
         if not math.isfinite(self.answer):
             raise EquationError(f"problem {self.id}: answer {self.answer} is not finite")
-        value = evaluate_equation(self.equation)
+        try:
+            value = evaluate_equation(self.equation)
+        except EquationError as exc:
+            raise EquationError(f"problem {self.id}: equation does not evaluate ({exc})") from None
         tolerance = 1e-9 * max(1.0, abs(self.answer))
         if abs(value - self.answer) > tolerance:
             raise EquationError(
@@ -599,7 +603,13 @@ def augment_dataset(
 
 
 def load_problems(path: str | Path) -> list[MwpProblem]:
-    problems = read_records(path, MwpProblem.from_dict)
-    for p in problems:
+    """Problems of a JSONL file, each checked as it is decoded: one whose
+    equation does not evaluate or disagrees with its answer raises
+    EquationError naming the file and the line."""
+
+    def checked(d: dict) -> MwpProblem:
+        p = MwpProblem.from_dict(d)
         p.check()
-    return problems
+        return p
+
+    return read_records(path, checked)

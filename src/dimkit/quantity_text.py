@@ -22,7 +22,15 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence
 
 from .kb import KnowledgeBase
 from .linking import DEFAULT_THRESHOLD, Mention, candidate_generation, check_threshold, link
-from .util import byte_replace, byte_slice, char_to_byte_offsets, normalize_surface, read_rows
+from .util import (
+    byte_replace,
+    byte_slice,
+    char_to_byte_offsets,
+    normalize_surface,
+    read_rows,
+    span_field,
+    text_field,
+)
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingProvider
@@ -75,11 +83,11 @@ class QuantityMention(NamedTuple):
     @classmethod
     def from_dict(cls, d: dict) -> "QuantityMention":
         return cls(
-            value_span=tuple(d["value_span"]),
-            unit_span=tuple(d["unit_span"]) if d.get("unit_span") else None,
+            value_span=span_field(d["value_span"]),
+            unit_span=span_field(d["unit_span"]) if d.get("unit_span") else None,
             value=float(d["value"]),
-            unit_surface=d.get("unit_surface", ""),
-            linked_unit=d.get("linked_unit"),
+            unit_surface=text_field(d.get("unit_surface", "")),
+            linked_unit=text_field(d.get("linked_unit"), nullable=True),
             link_score=float(d.get("link_score", 0.0)),
         )
 
@@ -101,9 +109,9 @@ class AnnotatedSentence(NamedTuple):
     @classmethod
     def from_dict(cls, d: dict) -> "AnnotatedSentence":
         return cls(
-            text=d["text"],
+            text=text_field(d["text"]),
             mentions=tuple(QuantityMention.from_dict(m) for m in d["mentions"]),
-            provenance=d.get("provenance", "rule"),
+            provenance=text_field(d.get("provenance", "rule")),
             line_no=int(d.get("line_no", 0)),
         )
 

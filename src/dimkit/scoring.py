@@ -15,6 +15,7 @@ from typing import NamedTuple, Sequence
 from .errors import DimkitError
 from .quantity_text import AnnotatedSentence
 from .tasks import TaskInstance
+from .util import text_field
 
 
 class Prediction(NamedTuple):
@@ -23,8 +24,9 @@ class Prediction(NamedTuple):
 
     @classmethod
     def from_dict(cls, d: dict) -> "Prediction":
+        pred_id = text_field(d["id"])  # read first: a malformed answer is named as such
         answer = d.get("answer")
-        return cls(id=d["id"], answer=None if answer is None else int(answer))
+        return cls(id=pred_id, answer=None if answer is None else int(answer))
 
 
 class ChoiceMetrics(NamedTuple):

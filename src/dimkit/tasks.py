@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from .dimension import DimensionVector, format_symbolic, is_comparable
 from .errors import DimensionRangeError, GenerationError
 from .kb import KnowledgeBase, conversion_factor, units_of_dimension
-from .util import byte_replace, format_number
+from .util import byte_replace, format_number, text_field
 
 if TYPE_CHECKING:
     from .quantity_text import AnnotatedSentence
@@ -48,8 +48,8 @@ class TaskInstance(NamedTuple):
     @classmethod
     def from_dict(cls, d: dict) -> "TaskInstance":
         return cls(
-            id=d["id"],
-            task_type=d["task_type"],
+            id=text_field(d["id"]),
+            task_type=text_field(d["task_type"]),
             prompt=d["prompt"],
             candidates=tuple(d["candidates"]),
             answer_index=int(d["answer_index"]),

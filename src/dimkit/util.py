@@ -12,7 +12,7 @@ import unicodedata
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .errors import InputError
+from .errors import DimkitError, InputError
 
 _ASCII_UPPER = str.maketrans({chr(c): chr(c + 32) for c in range(ord("A"), ord("Z") + 1)})
 
@@ -126,45 +126,67 @@ def read_lines(path: str | Path) -> list[str]:
 
 
 class _Fields(dict):
-    """A JSONL object that remembers the field read last, so errors can name it."""
+    """A JSONL object, nested ones included, that records the field read
+    last of any of them, so errors can name it."""
 
     last = None
 
     def __getitem__(self, key):
-        self.last = key
+        _Fields.last = key
         return super().__getitem__(key)
 
     def get(self, key, default=None):
-        self.last = key
+        _Fields.last = key
         return super().get(key, default)
+
+
+def text_field(value, nullable: bool = False) -> str | None:
+    """A decoded string field: value itself when it is a string (or None
+    when nullable); anything else raises TypeError."""
+    if type(value) is str or (nullable and value is None):
+        return value
+    raise TypeError("expected a string" + (" or null" if nullable else ""))
+
+
+def span_field(value) -> tuple[int, int]:
+    """A decoded span field: a list or tuple of two ints, as a tuple;
+    anything else raises TypeError."""
+    if type(value) in (list, tuple) and len(value) == 2 and type(value[0]) is type(value[1]) is int:
+        return tuple(value)
+    raise TypeError("expected two integers")
 
 
 def read_records(path: str | Path, from_dict: Callable[[dict], object]) -> list:
     """One record per non-blank JSONL line, decoded by from_dict.
 
     Malformed JSON (checked over the whole file first), a line that is
-    not a JSON object, and a missing or malformed field raise InputError
-    naming the file, the line and the field.
+    not a JSON object, and a missing or malformed field (a nested
+    object's included) raise InputError naming the file, the line and
+    the field.  Any other DimkitError from from_dict gets the file and
+    the line put before its message.
     """
     rows = []
     for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip():
             continue
         try:
-            rows.append((f"{path}: line {lineno}", json.loads(line)))
+            rows.append((f"{path}: line {lineno}", json.loads(line, object_hook=_Fields)))
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: line {lineno}: malformed JSON ({exc})") from None
     out = []
     for where, fields in rows:
         if not isinstance(fields, dict):
             raise InputError(f"{where}: expected a JSON object")
-        fields = _Fields(fields)
+        _Fields.last = None
         try:
             out.append(from_dict(fields))
         except KeyError as exc:
             raise InputError(f"{where}: missing field {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
-            raise InputError(f"{where}: malformed field {fields.last!r} ({exc})") from None
+            raise InputError(f"{where}: malformed field {_Fields.last!r} ({exc})") from None
+        except DimkitError as exc:
+            exc.args = (f"{where}: {exc}",)
+            raise
     return out
 
 

@@ -408,6 +408,66 @@ class TestInputErrors:
         assert field in err
 
     @pytest.mark.parametrize(
+        "argv,bad_file,field",
+        [
+            (["augment", "body.jsonl", "--methods", "context_format"], "body.jsonl", "'body'"),
+            (["augment", "question.jsonl", "--methods", "question_format"], "question.jsonl", "'question'"),
+            (["augment", "equation.jsonl"], "equation.jsonl", "'equation'"),
+            (["augment", "parens.jsonl"], "parens.jsonl", "equation does not evaluate"),
+            (["augment", "disagrees.jsonl"], "disagrees.jsonl", "answer is 4.0"),
+            (["gen-tasks", "dimension_prediction", "--annotated", "text.jsonl"], "text.jsonl", "'text'"),
+            (
+                ["gen-tasks", "dimension_prediction", "--annotated", "linked_unit.jsonl"],
+                "linked_unit.jsonl", "'linked_unit'",
+            ),
+            (["score", "gold.jsonl", "pred_id.jsonl"], "pred_id.jsonl", "'id'"),
+            (["score", "gold.jsonl", "pred_answer.jsonl"], "pred_answer.jsonl", "'answer'"),
+            (["score", "gold_id.jsonl", "preds.jsonl"], "gold_id.jsonl", "'id'"),
+            (["score", "sentences.jsonl", "value_span.jsonl"], "value_span.jsonl", "'value_span'"),
+        ],
+    )
+    def test_wrongly_typed_field_exits_4_naming_it(
+        self, capsys, tmp_path, monkeypatch, argv, bad_file, field
+    ):
+        """A JSON value of the wrong type, or a problem whose equation does
+        not check, is a data error at load that names the file, the line
+        and the field; nothing is written."""
+        problem = {"id": "p", "body": "A 3 kg bag.", "question": "How many kg?", "equation": "3",
+                   "answer": 3.0}
+        mention = {"value_span": [2, 3], "unit_span": [4, 6], "value": 3.0, "unit_surface": "kg",
+                   "linked_unit": "KiloGM"}
+        sentence = {"line_no": 1, "text": "A 3 kg bag.", "mentions": [mention]}
+        task = {"id": "kind_match-00000", "task_type": "kind_match", "prompt": {},
+                "candidates": ["a", "b"], "answer_index": 0}
+        pred = {"id": "kind_match-00000", "answer": 0}
+        files = {
+            "body.jsonl": [problem, {**problem, "body": 5}],
+            "question.jsonl": [problem, {**problem, "question": ["y"]}],
+            "equation.jsonl": [problem, {**problem, "equation": 5}],
+            "parens.jsonl": [problem, {**problem, "equation": "(((("}],
+            "disagrees.jsonl": [problem, {**problem, "answer": 4.0}],
+            "text.jsonl": [sentence, {**sentence, "text": 5}],
+            "linked_unit.jsonl": [sentence, {**sentence, "mentions": [{**mention, "linked_unit": ["M"]}]}],
+            "gold.jsonl": [task],
+            "pred_id.jsonl": [pred, {**pred, "id": ["kind_match-00000"]}],
+            "pred_answer.jsonl": [pred, {**pred, "answer": "x"}],
+            "gold_id.jsonl": [task, {**task, "id": ["kind_match-00000"]}],
+            "preds.jsonl": [pred],
+            "sentences.jsonl": [sentence],
+            "value_span.jsonl": [sentence, {**sentence, "mentions": [{**mention, "value_span": [0, [1]]}]}],
+        }
+        for name, rows in files.items():
+            (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        output = [] if argv[0] == "score" else ["-o", "out.jsonl"]
+        code, out, err = run(capsys, *argv, *output)
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"error: {bad_file}: line 2: ") and err.count("\n") == 1
+        assert field in err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["bootstrap", "{bad}", "-o", "{out}"],

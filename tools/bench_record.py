@@ -29,8 +29,8 @@ so slow drift of the machine falls on both sides alike.  The JSON holds:
 * ``traced``: with ``--trace-seed``, each side's per-layer metrics of
   one traced run per workload and its ten largest traced self times;
 * ``floor``: the process floor of each side, the median wall time and
-  peak RSS of fresh ``python3 -c pass``, ``import dimkit.cli`` and
-  ``import numpy`` processes, and the median wall time of
+  peak RSS of fresh ``python3 -c pass`` and ``import dimkit.cli``
+  processes, and the median wall time of
   ``python3 -m dimkit.cli --kb <packaged KB> convert 1 meter centimeter``,
   the command ``setup_s`` times, run as perfbench runs it.  Each ``-c``
   child reports its own peak RSS (``VmHWM``): the ``wait4`` max-RSS of a
@@ -62,7 +62,6 @@ FLOOR = {
     "import_dimkit_cli": ["-c", "import dimkit.cli"],
     "convert": ["-m", "dimkit.cli", "--kb", "{kb}", "convert", "1", "meter", "centimeter"],
     "convert_main_vmhwm": ["-c", 'from dimkit.cli import main; main(["convert", "1", "meter", "centimeter"])'],
-    "import_numpy": ["-c", "import numpy"],
 }
 VMHWM_ONLY = ("convert_main_vmhwm",)  # its wall time is not what setup_s times
 # appended to each -c floor command: its last stdout line is the child's VmHWM in kB
