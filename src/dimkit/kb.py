@@ -16,15 +16,15 @@ set it.
 The frequency sidecar file is ``unit_id TAB freq_gt TAB freq_hs TAB
 freq_cf`` with strictly positive raw scores, one line per unit_id.
 
-:meth:`KnowledgeBase.from_records` derives, once, the unit facts other
-modules read: indexes from a normalized surface form, an encoded
-dimension string or a kind id to sorted unit ids (``surface_index``,
-``dimension_index``, ``kind_index``), and each record's
-``normalized_forms`` in ``surface_forms()`` order.  The padded-bigram
-postings of the normalized forms that candidate generation counts,
-each form's edit-distance bit pattern and each unit's position in
-``records`` (``bigram_index``) are derived once as well, on first use,
-so commands that never link do not build them.
+``KnowledgeBase(records)`` validates the records and derives, once, the
+unit facts other modules read: ``records`` keyed and sorted by unit_id,
+whatever order the records arrive in, and indexes from a normalized
+surface form, a dimension vector or a kind id to sorted unit ids
+(``surface_index``, ``dimension_index``, ``kind_index``).  The
+padded-bigram postings of the normalized forms that candidate generation
+counts, and each form's edit-distance bit pattern (``bigram_index``), are
+derived once as well, on first use, so commands that never link do not
+build them.
 """
 
 from __future__ import annotations
@@ -49,7 +49,9 @@ from .errors import (
 from .util import normalize_surface, read_rows
 
 
-class _UnitFields(NamedTuple):
+class UnitRecord(NamedTuple):
+    """One knowledge-base unit."""
+
     unit_id: str
     label_en: str
     label_zh: str
@@ -63,14 +65,6 @@ class _UnitFields(NamedTuple):
     conversion_val: float
     affine_offset: float = 0.0
 
-
-class UnitRecord(_UnitFields):
-    """One knowledge-base unit: a NamedTuple of its fields, subclassed for
-    the instance dict that normalized_forms is cached in."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"UnitRecord is immutable: cannot set {name!r}")
-
     def surface_forms(self) -> tuple[str, ...]:
         """All textual forms the unit may take in text, unnormalized."""
         forms = [self.label_en]
@@ -80,7 +74,7 @@ class UnitRecord(_UnitFields):
         forms.extend(self.alias)
         return tuple(f for f in forms if f)
 
-    @cached_property
+    @property
     def normalized_forms(self) -> tuple[str, ...]:
         """normalize_surface of each surface form, in the same order."""
         return tuple(normalize_surface(f) for f in self.surface_forms())
@@ -144,92 +138,29 @@ class BigramIndex(NamedTuple):
     them min(c, its count of g) times, so counting the forms of entry
     min(c, len) - 1 over the bigrams g of a query, each held c times,
     counts every form's shared bigrams with multiplicity.  ``masks[form]``
-    is the form's :func:`char_masks`, and ``positions[unit_id]`` the
-    unit's position in ``KnowledgeBase.records``.  The units owning a
-    form are ``KnowledgeBase.surface_index[form]``.
+    is the form's :func:`char_masks`.  The units owning a form are
+    ``KnowledgeBase.surface_index[form]``.
     """
 
     forms: dict[int, tuple[str, ...]]
     postings: dict[str, tuple[tuple[str, ...], ...]]
     masks: dict[str, dict[str, int]]
-    positions: dict[str, int]
 
 
 class KnowledgeBase:
-    """Immutable after construction; unrestricted concurrent reads.
+    """The validated records and their indexes: immutable after
+    construction; unrestricted concurrent reads.
 
+    ``records`` is sorted by unit_id, whatever order the records arrive
+    in, and every index lists unit ids in that order;
+    ``dimension_index`` iterates its dimensions in encoded-string order.
     bigram_index is derived from surface_index on first use.  match_cache
     memoizes candidate generation per normalized surface and threshold;
     each knowledge base starts with an empty one.  Concurrent first uses
     at worst build or recompute a value twice.
     """
 
-    def __init__(
-        self,
-        records: dict[str, UnitRecord],
-        kinds: dict[str, QuantityKind],
-        surface_index: dict[str, tuple[str, ...]],
-        dimension_index: dict[str, tuple[str, ...]],
-        kind_index: dict[str, tuple[str, ...]],
-    ):
-        self.records = records
-        self.kinds = kinds
-        self.surface_index = surface_index
-        self.dimension_index = dimension_index
-        self.kind_index = kind_index
-        self.match_cache: dict = {}
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def unit(self, unit_id: str) -> UnitRecord:
-        try:
-            return self.records[unit_id]
-        except KeyError:
-            raise UnknownUnitError(f"unknown unit_id {unit_id!r}") from None
-
-    def kind(self, kind_id: str) -> QuantityKind:
-        try:
-            return self.kinds[kind_id]
-        except KeyError:
-            raise UnknownKindError(f"unknown kind_id {kind_id!r}") from None
-
-    def units_of_kind(self, kind_id: str) -> tuple[str, ...]:
-        self.kind(kind_id)
-        return self.kind_index[kind_id]
-
-    def units_with_dimension(self, dv: DimensionVector) -> tuple[str, ...]:
-        """Ids of the units whose dimension equals dv, sorted."""
-        return self.dimension_index.get(format_dimension(dv), ())
-
-    @cached_property
-    def bigram_index(self) -> BigramIndex:
-        forms: dict[int, list[str]] = {}
-        holders: dict[str, list[str]] = {}
-        repeated = set()  # bigrams some form holds more than once
-        for form in self.surface_index:
-            forms.setdefault(len(form), []).append(form)
-            for gram in padded_bigrams(form):
-                held = holders.setdefault(gram, [])
-                if held and held[-1] == form:
-                    repeated.add(gram)
-                held.append(form)  # once per occurrence, each form's copies adjacent
-        postings = {gram: (tuple(held),) for gram, held in holders.items()}
-        for gram in repeated:
-            counts = Counter(holders[gram])
-            postings[gram] = tuple(
-                tuple(form for form, k in counts.items() for _ in range(min(c, k)))
-                for c in range(1, max(counts.values()) + 1)
-            )
-        return BigramIndex(
-            forms={m: tuple(fs) for m, fs in forms.items()},
-            postings=postings,
-            masks={form: char_masks(form) for form in self.surface_index},
-            positions={unit_id: i for i, unit_id in enumerate(self.records)},
-        )
-
-    @classmethod
-    def from_records(cls, records: Iterable[UnitRecord]) -> "KnowledgeBase":
+    def __init__(self, records: Iterable[UnitRecord]):
         """Validate every type invariant and build the indexes."""
         by_id: dict[str, UnitRecord] = {}
         by_kind: dict[str, list[UnitRecord]] = {}
@@ -285,20 +216,68 @@ class KnowledgeBase:
             )
 
         surface: dict[str, set[str]] = {}
-        dimension: dict[str, set[str]] = {}
+        dimension: dict[DimensionVector, set[str]] = {}
         for rec in by_id.values():
             for form in rec.normalized_forms:
                 surface.setdefault(form, set()).add(rec.unit_id)
-            dimension.setdefault(format_dimension(rec.dimension), set()).add(rec.unit_id)
+            dimension.setdefault(rec.dimension, set()).add(rec.unit_id)
 
-        return cls(
-            records=dict(sorted(by_id.items())),
-            kinds=kinds,
-            surface_index={k: tuple(sorted(v)) for k, v in sorted(surface.items())},
-            dimension_index={k: tuple(sorted(v)) for k, v in sorted(dimension.items())},
-            kind_index={k: tuple(sorted(m.unit_id for m in by_kind[k])) for k in kinds},
+        self.records = dict(sorted(by_id.items()))
+        self.kinds = kinds
+        self.surface_index = {k: tuple(sorted(v)) for k, v in sorted(surface.items())}
+        self.dimension_index = {
+            dv: tuple(sorted(dimension[dv])) for dv in sorted(dimension, key=format_dimension)
+        }
+        self.kind_index = {k: tuple(sorted(m.unit_id for m in by_kind[k])) for k in kinds}
+        self.match_cache: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def unit(self, unit_id: str) -> UnitRecord:
+        try:
+            return self.records[unit_id]
+        except KeyError:
+            raise UnknownUnitError(f"unknown unit_id {unit_id!r}") from None
+
+    def kind(self, kind_id: str) -> QuantityKind:
+        try:
+            return self.kinds[kind_id]
+        except KeyError:
+            raise UnknownKindError(f"unknown kind_id {kind_id!r}") from None
+
+    def units_of_kind(self, kind_id: str) -> tuple[str, ...]:
+        self.kind(kind_id)
+        return self.kind_index[kind_id]
+
+    def units_with_dimension(self, dv: DimensionVector) -> tuple[str, ...]:
+        """Ids of the units whose dimension equals dv, sorted."""
+        return self.dimension_index.get(dv, ())
+
+    @cached_property
+    def bigram_index(self) -> BigramIndex:
+        forms: dict[int, list[str]] = {}
+        holders: dict[str, list[str]] = {}
+        repeated = set()  # bigrams some form holds more than once
+        for form in self.surface_index:
+            forms.setdefault(len(form), []).append(form)
+            for gram in padded_bigrams(form):
+                held = holders.setdefault(gram, [])
+                if held and held[-1] == form:
+                    repeated.add(gram)
+                held.append(form)  # once per occurrence, each form's copies adjacent
+        postings = {gram: (tuple(held),) for gram, held in holders.items()}
+        for gram in repeated:
+            counts = Counter(holders[gram])
+            postings[gram] = tuple(
+                tuple(form for form, k in counts.items() for _ in range(min(c, k)))
+                for c in range(1, max(counts.values()) + 1)
+            )
+        return BigramIndex(
+            forms={m: tuple(fs) for m, fs in forms.items()},
+            postings=postings,
+            masks={form: char_masks(form) for form in self.surface_index},
         )
-
 
 def _parse_record(cols: list[str]) -> UnitRecord:
     """One KB line's fields as a record.  A malformed line raises
@@ -338,7 +317,7 @@ def _parse_record(cols: list[str]) -> UnitRecord:
 def load_kb(source: str | Path) -> KnowledgeBase:
     """Load and validate a KB file.  Deterministic; an empty file yields
     an empty knowledge base."""
-    return KnowledgeBase.from_records(read_rows(source, _parse_record))
+    return KnowledgeBase(read_rows(source, _parse_record))
 
 
 def _sidecar_row(cols: list[str]) -> tuple[str, tuple[float, float, float]]:

@@ -236,7 +236,7 @@ def candidate_generation(
     forms which may pass, and one :func:`_packed_pass` over the
     normalized surface gives their exact distances.  The candidates are
     the owners of the admitted forms, each with the best similarity among
-    them, ordered by ``kb.bigram_index.positions``: a dropped form is
+    them, in unit_id order, which is ``kb.records`` order: a dropped form is
     never admitted, and a unit's best form is admitted whenever any of
     its forms is, so the result and every p_mention equal
     :func:`mention_similarity` over all records.
@@ -262,7 +262,7 @@ def candidate_generation(
                         best[unit_id] = sim
         cached = kb.match_cache[key] = tuple(
             LinkCandidate(unit_id=u, prior=kb.records[u].frequency, p_mention=best[u])
-            for u in sorted(best, key=kb.bigram_index.positions.__getitem__)
+            for u in sorted(best)
         )
     return list(cached)
 

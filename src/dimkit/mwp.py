@@ -44,6 +44,7 @@ from .util import (
     byte_slice,
     format_plain,
     normalize_surface,
+    number_field,
     on_word_boundary,
     read_records,
     text_field,
@@ -199,11 +200,11 @@ class MwpProblem(NamedTuple):
     @classmethod
     def from_dict(cls, d: dict) -> "MwpProblem":
         return cls(
-            id=str(d["id"]),
+            id=text_field(d["id"]),
             body=text_field(d["body"]),
             question=text_field(d["question"]),
             equation=text_field(d["equation"]),
-            answer=float(d["answer"]),
+            answer=number_field(d["answer"]),
             answer_unit=text_field(d.get("answer_unit"), nullable=True),
         )
 
@@ -344,7 +345,9 @@ def _insert(text: str, start: int, end: int, replacement: str) -> str:
     return byte_replace(text, start, end, replacement)
 
 
-_EQ_LITERAL_RE = re.compile(r"\d+(?:\.\d+)?")
+# A literal as evaluate_equation reads it: a maximal run of digits and
+# '.', whitespace inside the run included.
+_EQ_LITERAL_RE = re.compile(r"[0-9.](?:\s*[0-9.])*")
 
 
 def _rewrite_literals(equation: str, old_value: float, replacement: str) -> str:
@@ -358,7 +361,9 @@ def _rewrite_literals(equation: str, old_value: float, replacement: str) -> str:
     last = 0
     changed = False
     for m in _EQ_LITERAL_RE.finditer(equation):
-        if float(m.group(0)) == old_value:
+        literal = "".join(m.group(0).split())
+        # a run left of the last '=' is never evaluated, so it may be malformed
+        if literal.count(".") <= 1 and literal != "." and float(literal) == old_value:
             out.append(equation[last : m.start()])
             out.append(replacement)
             last = m.end()

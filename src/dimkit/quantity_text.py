@@ -26,7 +26,9 @@ from .util import (
     byte_replace,
     byte_slice,
     char_to_byte_offsets,
+    int_field,
     normalize_surface,
+    number_field,
     read_rows,
     span_field,
     text_field,
@@ -85,10 +87,10 @@ class QuantityMention(NamedTuple):
         return cls(
             value_span=span_field(d["value_span"]),
             unit_span=span_field(d["unit_span"]) if d.get("unit_span") else None,
-            value=float(d["value"]),
+            value=number_field(d["value"]),
             unit_surface=text_field(d.get("unit_surface", "")),
             linked_unit=text_field(d.get("linked_unit"), nullable=True),
-            link_score=float(d.get("link_score", 0.0)),
+            link_score=number_field(d.get("link_score", 0.0)),
         )
 
 
@@ -112,7 +114,7 @@ class AnnotatedSentence(NamedTuple):
             text=text_field(d["text"]),
             mentions=tuple(QuantityMention.from_dict(m) for m in d["mentions"]),
             provenance=text_field(d.get("provenance", "rule")),
-            line_no=int(d.get("line_no", 0)),
+            line_no=int_field(d.get("line_no", 0)),
         )
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 from .errors import DimkitError
 from .quantity_text import AnnotatedSentence
 from .tasks import TaskInstance
-from .util import text_field
+from .util import int_field, text_field
 
 
 class Prediction(NamedTuple):
@@ -25,8 +25,7 @@ class Prediction(NamedTuple):
     @classmethod
     def from_dict(cls, d: dict) -> "Prediction":
         pred_id = text_field(d["id"])  # read first: a malformed answer is named as such
-        answer = d.get("answer")
-        return cls(id=pred_id, answer=None if answer is None else int(answer))
+        return cls(id=pred_id, answer=int_field(d.get("answer"), nullable=True))
 
 
 class ChoiceMetrics(NamedTuple):

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from .dimension import DimensionVector, format_symbolic, is_comparable
 from .errors import DimensionRangeError, GenerationError
 from .kb import KnowledgeBase, conversion_factor, units_of_dimension
-from .util import byte_replace, format_number, text_field
+from .util import byte_replace, format_number, int_field, text_field
 
 if TYPE_CHECKING:
     from .quantity_text import AnnotatedSentence
@@ -52,9 +52,9 @@ class TaskInstance(NamedTuple):
             task_type=text_field(d["task_type"]),
             prompt=d["prompt"],
             candidates=tuple(d["candidates"]),
-            answer_index=int(d["answer_index"]),
+            answer_index=int_field(d["answer_index"]),
             rationale=d.get("rationale", ""),
-            seed=int(d.get("seed", 0)),
+            seed=int_field(d.get("seed", 0)),
         )
 
 

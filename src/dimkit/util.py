@@ -148,6 +148,22 @@ def text_field(value, nullable: bool = False) -> str | None:
     raise TypeError("expected a string" + (" or null" if nullable else ""))
 
 
+def int_field(value, nullable: bool = False) -> int | None:
+    """A decoded integer field: value itself when it is an int (or None
+    when nullable); anything else, a boolean or 1.0 too, raises TypeError."""
+    if type(value) is int or (nullable and value is None):
+        return value
+    raise TypeError("expected an integer" + (" or null" if nullable else ""))
+
+
+def number_field(value) -> float:
+    """A decoded int or float field as a float; anything else, a boolean
+    too, raises TypeError."""
+    if type(value) in (int, float):
+        return float(value)
+    raise TypeError("expected a number")
+
+
 def span_field(value) -> tuple[int, int]:
     """A decoded span field: a list or tuple of two ints, as a tuple;
     anything else raises TypeError."""
@@ -182,7 +198,7 @@ def read_records(path: str | Path, from_dict: Callable[[dict], object]) -> list:
             out.append(from_dict(fields))
         except KeyError as exc:
             raise InputError(f"{where}: missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # a huge int as a float
             raise InputError(f"{where}: malformed field {_Fields.last!r} ({exc})") from None
         except DimkitError as exc:
             exc.args = (f"{where}: {exc}",)

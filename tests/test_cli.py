@@ -16,6 +16,7 @@ from dimkit.cli import _bootstrap_json, _resolve_unit, main
 from dimkit.errors import UnitResolutionError
 from dimkit.kb import lookup_surface
 from dimkit.linking import Mention, link
+from dimkit.mwp import evaluate_equation
 
 
 def run(capsys, *argv):
@@ -424,6 +425,20 @@ class TestInputErrors:
             (["score", "gold.jsonl", "pred_answer.jsonl"], "pred_answer.jsonl", "'answer'"),
             (["score", "gold_id.jsonl", "preds.jsonl"], "gold_id.jsonl", "'id'"),
             (["score", "sentences.jsonl", "value_span.jsonl"], "value_span.jsonl", "'value_span'"),
+            (["score", "gold.jsonl", "pred_float.jsonl"], "pred_float.jsonl", "'answer'"),
+            (["score", "gold.jsonl", "pred_bool.jsonl"], "pred_bool.jsonl", "'answer'"),
+            (["score", "gold_index.jsonl", "preds.jsonl"], "gold_index.jsonl", "'answer_index'"),
+            (["score", "gold_seed.jsonl", "preds.jsonl"], "gold_seed.jsonl", "'seed'"),
+            (["augment", "answer.jsonl"], "answer.jsonl", "'answer'"),
+            (["augment", "answer_bool.jsonl"], "answer_bool.jsonl", "'answer'"),
+            (["augment", "answer_huge.jsonl"], "answer_huge.jsonl", "'answer'"),
+            (["augment", "id.jsonl"], "id.jsonl", "'id'"),
+            (["gen-tasks", "dimension_prediction", "--annotated", "line_no.jsonl"], "line_no.jsonl", "'line_no'"),
+            (["gen-tasks", "dimension_prediction", "--annotated", "value.jsonl"], "value.jsonl", "'value'"),
+            (
+                ["gen-tasks", "dimension_prediction", "--annotated", "link_score.jsonl"],
+                "link_score.jsonl", "'link_score'",
+            ),
         ],
     )
     def test_wrongly_typed_field_exits_4_naming_it(
@@ -455,6 +470,17 @@ class TestInputErrors:
             "preds.jsonl": [pred],
             "sentences.jsonl": [sentence],
             "value_span.jsonl": [sentence, {**sentence, "mentions": [{**mention, "value_span": [0, [1]]}]}],
+            "pred_float.jsonl": [pred, {**pred, "answer": 0.9}],
+            "pred_bool.jsonl": [pred, {**pred, "answer": True}],
+            "gold_index.jsonl": [task, {**task, "answer_index": 0.5}],
+            "gold_seed.jsonl": [task, {**task, "seed": "1"}],
+            "answer.jsonl": [problem, {**problem, "answer": "3"}],
+            "answer_bool.jsonl": [problem, {**problem, "answer": True, "equation": "1"}],
+            "answer_huge.jsonl": [problem, {**problem, "answer": 10**400}],
+            "id.jsonl": [problem, {**problem, "id": 5}],
+            "line_no.jsonl": [sentence, {**sentence, "line_no": 1.5}],
+            "value.jsonl": [sentence, {**sentence, "mentions": [{**mention, "value": "3"}]}],
+            "link_score.jsonl": [sentence, {**sentence, "mentions": [{**mention, "link_score": True}]}],
         }
         for name, rows in files.items():
             (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
@@ -615,6 +641,30 @@ class TestBootstrapAndAugment:
             "--eta", "1.0", "--seed", "2", "--append", "-o", str(out))
         n_in = len((data_dir / "mwp_sample.jsonl").read_text(encoding="utf-8").splitlines())
         assert len(out.read_text(encoding="utf-8").splitlines()) == 2 * n_in
+
+    @pytest.mark.parametrize(
+        "equation,rewritten",
+        [
+            ("5+.5-.5", "(5000/1000)+.5-.5"),
+            ("5.*1", "(5000/1000)*1"),
+            ("4 .5+.5", "4 .5+.5"),  # 4.5 + 0.5: no literal 5, the problem is skipped
+            ("5 0/10", "5 0/10"),  # 50 / 10
+            ("1..2=5", "1..2=(5000/1000)"),  # only the segment after '=' is evaluated
+        ],
+    )
+    def test_augment_rewrites_the_literals_the_equation_reads(self, capsys, tmp_path, equation, rewritten):
+        """An equation literal is the run of digits and '.' that
+        evaluate_equation reads, whitespace inside the run included."""
+        problem = {"id": "p", "body": "A bag holds 5 kg of rice.", "question": " How heavy?",
+                   "equation": equation, "answer": 5}
+        dataset, out = tmp_path / "p.jsonl", tmp_path / "out.jsonl"
+        dataset.write_text(json.dumps(problem) + "\n", encoding="utf-8")
+        code, _, _ = run(capsys, "augment", str(dataset), "--methods", "context_dimension",
+                         "--eta", "1", "--seed", "0", "-o", str(out))
+        assert code == 0
+        [row] = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert row["equation"] == rewritten
+        assert evaluate_equation(row["equation"]) == row["answer"] == 5
 
 
 class TestUsageAndEnvironment:

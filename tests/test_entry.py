@@ -167,32 +167,49 @@ ROUND0_INPUTS = (
     "inputs.annotate_corpus(seed, 0, units, Path('corpus.txt'))\n"
     "inputs.augment_problems(seed, 0, Path('problems.jsonl'))\n"
     "inputs.triplet_store(seed, 0, units, Path('triplets.tsv'))\n"
+    "inputs.write_lines(Path('si_kb.tsv'), inputs.si_expanded_kb(units))\n"
+    "inputs.annotated_sentences(seed, 0, kbfile.read_kb(Path('si_kb.tsv')), Path('sentences.jsonl'))\n"
 )
+# perfbench's inputs.TASK_FAMILIES and inputs.TASKS_PER_FAMILY
+TASK_FAMILIES = ("kind_match", "comparable", "dimension_prediction", "dimension_arithmetic",
+                 "magnitude_comparison", "unit_conversion")
+TASKS_PER_FAMILY = 2000
 
 
-def round0(seed):
-    """perfbench's round-0 commands of one seed, with the files each writes."""
+def round0(seed, kb_path):
+    """perfbench's round-0 commands of one seed: per workload, each
+    command with the files it writes.  gen-tasks runs on the SI-expanded
+    KB."""
+    cli_seed = str(seed * 1000)
     return {
-        "annotate": (["annotate", "corpus.txt", "-o", "annotated.jsonl", "--review", "review.tsv"],
-                     ["annotated.jsonl", "review.tsv"]),
-        "augment": (["augment", "problems.jsonl", "--eta", "1.0", "--seed", str(seed * 1000),
-                     "-o", "augmented.jsonl", "--records", "records.jsonl"],
-                    ["augmented.jsonl", "records.jsonl"]),
-        "bootstrap": (["bootstrap", "triplets.tsv", "-o", "retrieved.json"], ["retrieved.json"]),
+        "annotate": [(["--kb", kb_path, "annotate", "corpus.txt", "-o", "annotated.jsonl", "--review", "review.tsv"],
+                      ["annotated.jsonl", "review.tsv"])],
+        "augment": [(["--kb", kb_path, "augment", "problems.jsonl", "--eta", "1.0", "--seed", cli_seed,
+                      "-o", "augmented.jsonl", "--records", "records.jsonl"],
+                     ["augmented.jsonl", "records.jsonl"])],
+        "gen-tasks": [
+            (["--kb", "si_kb.tsv", "gen-tasks", family, "-n", str(TASKS_PER_FAMILY), "--seed", cli_seed,
+              *(["--annotated", "sentences.jsonl"] if family == "dimension_prediction" else []),
+              "-o", f"tasks-{family}.jsonl"],
+             [f"tasks-{family}.jsonl"])
+            for family in TASK_FAMILIES
+        ],
+        "bootstrap": [(["--kb", kb_path, "bootstrap", "triplets.tsv", "-o", "retrieved.json"], ["retrieved.json"])],
     }
 
 
 def round0_digest(seed, command, cwd, kb_path, python=sys.executable, options=(), **settings):
-    """Run one round-0 command as perfbench does (with any global options
-    added) and fingerprint it as digests.json records it: the exit code
-    and each output's sha256."""
-    argv, files = round0(seed)[command]
-    proc = cli_process(["--kb", str(kb_path), *options, *argv], cwd, python, **settings)
-    outputs = [cwd / f for f in files]
-    digest = [[proc.returncode, [hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else None
-                                 for p in outputs]]]
-    for p in outputs:
-        p.unlink(missing_ok=True)
+    """Run one workload's round-0 commands as perfbench does (with any
+    global options added) and fingerprint them as digests.json records
+    them: per command, the exit code and each output's sha256."""
+    digest = []
+    for argv, files in round0(seed, str(kb_path))[command]:
+        proc = cli_process([*options, *argv], cwd, python, **settings)
+        outputs = [cwd / f for f in files]
+        digest.append([proc.returncode, [hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else None
+                                         for p in outputs]])
+        for p in outputs:
+            p.unlink(missing_ok=True)
     return digest
 
 
@@ -205,13 +222,14 @@ def write_round0_inputs(seed, cwd, kb_path):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_round0_bytes_match_the_recorded_digests(tmp_path, data_dir, seed):
-    """annotate, augment and bootstrap write perfbench's recorded round-0
-    bytes: the linking shortcuts (exact prefixes, packed passes, shared
-    rows, per-token maxima) change no output."""
+    """Every workload writes perfbench's recorded round-0 bytes: the
+    linking shortcuts (exact prefixes, packed passes, shared rows,
+    per-token maxima) change no output, and the task generators draw
+    over the same index orders."""
     kb_path = data_dir / "units.tsv"
     write_round0_inputs(seed, tmp_path, kb_path)
     recorded = json.loads((PERFBENCH / "digests.json").read_text())
-    for command in ("annotate", "augment", "bootstrap"):
+    for command in ("annotate", "augment", "gen-tasks", "bootstrap"):
         assert round0_digest(seed, command, tmp_path, kb_path) == recorded[command][str(seed)], command
 
 
@@ -225,8 +243,8 @@ def pyenv_pythons(minor):
 
 @pytest.mark.parametrize("minor", ["3.10", "3.12", "3.13"])
 def test_round0_bytes_do_not_depend_on_the_interpreter(tmp_path, data_dir, minor):
-    """annotate, augment and bootstrap write perfbench's recorded round-0
-    bytes of seed 0 under other CPython versions too.  This pins two
+    """Every workload writes perfbench's recorded round-0 bytes of seed 0
+    under other CPython versions too.  This pins two
     choices of context scoring: a token's max over the keyword rows it
     meets does not depend on the order they are visited in, and a score
     adds its maxima by an explicit ``total +=`` loop (from 3.12, sum()
@@ -238,7 +256,7 @@ def test_round0_bytes_do_not_depend_on_the_interpreter(tmp_path, data_dir, minor
     write_round0_inputs(0, tmp_path, kb_path)
     recorded = json.loads((PERFBENCH / "digests.json").read_text())
     for python in pythons:
-        for command in ("annotate", "augment", "bootstrap"):
+        for command in ("annotate", "augment", "gen-tasks", "bootstrap"):
             digest = round0_digest(0, command, tmp_path, kb_path, python, PYTHONDONTWRITEBYTECODE="1")
             assert digest == recorded[command]["0"], (str(python), command)
 

@@ -66,7 +66,7 @@ positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, al
 
 @st.composite
 def small_kbs(draw):
-    """A KnowledgeBase built by from_records; drawings it rejects are skipped."""
+    """A KnowledgeBase built from records in a random order; drawings it rejects are skipped."""
     records = []
     for k in range(draw(st.integers(1, 6))):
         dim = draw(st.sampled_from(FUZZ_DIMS))
@@ -82,7 +82,7 @@ def small_kbs(draw):
                 affine_offset=draw(st.sampled_from([0.0, 0.0, 0.0, 273.15])) if j else 0.0,
             ))
     try:
-        return KnowledgeBase.from_records(draw(st.permutations(records)))
+        return KnowledgeBase(draw(st.permutations(records)))
     except KbValidationError:
         assume(False)
 
@@ -154,7 +154,7 @@ class TestLoad:
             load_kb(path)
         record = make_record("Y", "Length", DimensionVector.of(L=1), 1.0, keywords=())
         with pytest.raises(KbValidationError, match="record=Y"):
-            KnowledgeBase.from_records([record])
+            KnowledgeBase([record])
 
     @pytest.mark.parametrize(
         "field,value",
@@ -170,7 +170,7 @@ class TestLoad:
     def test_non_finite_value_rejected(self, field, value):
         record = make_record("X", "Length", LEN, 1.0, **{field: value})
         with pytest.raises(KbValidationError, match=rf"finite.*\[record=X, field={field}\]"):
-            KnowledgeBase.from_records([record])
+            KnowledgeBase([record])
 
     def test_load_is_order_insensitive(self, tmp_path, data_dir):
         lines = (data_dir / "units.tsv").read_text(encoding="utf-8").splitlines()
@@ -184,7 +184,7 @@ class TestLoad:
 
 
 class TestDerivedFacts:
-    """The indexes from_records builds against the scans they replaced."""
+    """The indexes the constructor builds against the scans they replaced."""
 
     @given(small_kbs())
     @settings(max_examples=100, deadline=None)
@@ -194,6 +194,20 @@ class TestDerivedFacts:
                 uid for uid, r in sorted(kb.records.items()) if r.quantity_kind == kind_id
             )
             assert kb.units_of_kind(kind_id) == expected
+
+    @given(small_kbs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_iteration_orders_do_not_depend_on_the_record_order(self, kb, data):
+        """records iterate in unit_id order and dimension_index in
+        encoded-string order, whatever order the records arrive in:
+        candidate generation and the task generators draw over them."""
+        again = KnowledgeBase(data.draw(st.permutations(list(kb.records.values()))))
+        for k in (kb, again):
+            assert list(k.records) == sorted(k.records)
+            encoded = [format_dimension(dv) for dv in k.dimension_index]
+            assert encoded == sorted(encoded)
+        assert list(again.records.items()) == list(kb.records.items())
+        assert list(again.dimension_index.items()) == list(kb.dimension_index.items())
 
     @given(small_kbs())
     @settings(max_examples=100, deadline=None)
@@ -293,13 +307,13 @@ class TestKindFrequency:
             make_record(f"U{i}", "Length", LEN, 1.0 if i == 0 else 2.0, freq=f)
             for i, f in enumerate(freqs)
         ]
-        kb = KnowledgeBase.from_records(records)
+        kb = KnowledgeBase(records)
         assert kind_frequency(kb, "Length") == pytest.approx(
             (1.0 + 0.8 + 0.6 + 0.4 + 0.2) / 5
         )
 
     def test_single_unit_kind(self):
-        kb = KnowledgeBase.from_records([make_record("U", "Length", LEN, 1.0, freq=0.7)])
+        kb = KnowledgeBase([make_record("U", "Length", LEN, 1.0, freq=0.7)])
         assert kind_frequency(kb, "Length") == 0.7
 
     def test_unknown_kind(self, kb):
@@ -327,7 +341,7 @@ class TestConversion:
             conversion_factor(kb, "K", "DEG_C")
 
     def test_factor_outside_float_range_rejected(self):
-        wide = KnowledgeBase.from_records([
+        wide = KnowledgeBase([
             make_record("M", "Length", LEN, 1.0),
             make_record("HUGE", "Length", LEN, 1e200),
             make_record("TINY", "Length", LEN, 1e-200),
@@ -378,7 +392,7 @@ class TestLookup:
     def test_dimension_index_union_is_total(self, kb):
         union = set()
         for key in kb.dimension_index:
-            union |= units_of_dimension(kb, parse_dimension(key))
+            union |= units_of_dimension(kb, key)
         assert union == set(kb.records)
 
     def test_canonical_dimension_strings_in_kb(self, kb, data_dir):

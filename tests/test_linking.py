@@ -264,7 +264,7 @@ class TestSimilarity:
 
 def uncached(kb: KnowledgeBase) -> KnowledgeBase:
     """The same knowledge base with an empty match cache and no index yet."""
-    return KnowledgeBase(kb.records, kb.kinds, kb.surface_index, kb.dimension_index, kb.kind_index)
+    return KnowledgeBase(kb.records.values())
 
 
 def counting_kernel(calls):
@@ -615,7 +615,7 @@ class TestContextScoreBits:
         context = "water temperature today"
         scores = []
         for record in (warm, optic, warm, optic):
-            kb = KnowledgeBase.from_records([record])
+            kb = KnowledgeBase([record])
             score = context_score(context, kb.records["X"], emb)
             assert score == oracle_context(context, record, emb)
             scores.append(score)
@@ -676,7 +676,7 @@ class TestLink:
     def test_order_invariant_under_prior_rescaling(self, kb, emb):
         probes = random_probes(kb, 25, seed=77)
         for kappa in (0.03, 0.5):  # keep rescaled priors within (0, 1]
-            scaled = KnowledgeBase.from_records(
+            scaled = KnowledgeBase(
                 r._replace(frequency=r.frequency * kappa)
                 for r in kb.records.values()
             )

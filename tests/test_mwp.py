@@ -223,7 +223,7 @@ class TestContextFormat:
             make_record("U1", "Mass", DimensionVector.of(M=1), 1.0,
                         label_en="blim", keywords=("mass",)),
         ]
-        tiny = KnowledgeBase.from_records(records)
+        tiny = KnowledgeBase(records)
         p = MwpProblem("x", "a crate of 5 blim arrived", "how many?", "5", 5.0)
         with pytest.raises(AugmentationError, match="single surface form"):
             augment_context_format(p, tiny, random.Random(0), emb)
@@ -318,7 +318,7 @@ class TestQuestionDimension:
         # two kinds sharing a dimension, each with its own standard unit:
         # substituting across them has conversion factor exactly 1
         dim = DimensionVector.of(L=2, M=1, T=-2)
-        tiny = KnowledgeBase.from_records([
+        tiny = KnowledgeBase([
             make_record("JL", "Energy", dim, 1.0, label_en="jolt",
                         keywords=("energy", "work")),
             make_record("TQ", "Torque", dim, 1.0, label_en="twist",
@@ -335,7 +335,7 @@ class TestQuestionDimension:
 
     def test_non_finite_rescaled_answer_is_a_recorded_failure(self, emb):
         dim = DimensionVector.of(M=1)
-        tiny = KnowledgeBase.from_records([
+        tiny = KnowledgeBase([
             make_record("BIG", "Mass", dim, 1.0, label_en="blim", keywords=("mass",)),
             make_record("TINY", "Mass", dim, 1e-300, label_en="speck", keywords=("mass",)),
         ])
@@ -350,7 +350,7 @@ class TestQuestionDimension:
     @staticmethod
     def blim_kb(*extra):
         dim = DimensionVector.of(M=1)
-        return KnowledgeBase.from_records([
+        return KnowledgeBase([
             make_record("BIG", "Mass", dim, 1.0, label_en="blim", keywords=("mass",)),
             *(make_record(uid, "Mass", dim, cv, label_en=label, keywords=("mass",))
               for uid, cv, label in extra),

@@ -200,7 +200,7 @@ def perfbench_round0_texts(perfbench_round0_dirs):
 
 def jamo_kb():
     """Forms that NFC composes across a cut: U+1100 U+1161 is U+AC00."""
-    return KnowledgeBase.from_records([
+    return KnowledgeBase([
         make_record("J1", "Length", LEN, 1.0, label_en="\u1100"),
         make_record("J2", "Length", LEN, 2.0, label_en="\uac00m"),
         make_record("J3", "Length", LEN, 3.0, label_en="km"),

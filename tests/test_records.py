@@ -32,7 +32,7 @@ RECORDS = {
     UnitRecord: ("M", "meter", "米", ("m",), ("metre",), "SI length", ("length",), 0.9,
                  "Length", LEN, 1.0, 0.0),
     QuantityKind: ("Length", LEN, "M"),
-    BigramIndex: ({1: ("m",)}, {"\x02m": (("m",),)}, {"m": {"m": 1}}, {"M": 0}),
+    BigramIndex: ({1: ("m",)}, {"\x02m": (("m",),)}, {"m": {"m": 1}}),
     LinkCandidate: ("M", 0.9, 0.8, 0.5),
     QuantityMention: tuple(MENTION),
     AnnotatedSentence: ("5 m", (MENTION,), "rule+filter", 3),
@@ -167,7 +167,6 @@ class TestValidatingRecords:
                 BootstrapConfig(**kwargs)
 
     def test_knowledge_base_starts_with_its_own_empty_cache(self, kb):
-        args = (kb.records, kb.kinds, kb.surface_index, kb.dimension_index, kb.kind_index)
-        a, b = KnowledgeBase(*args), KnowledgeBase(*args)
+        a, b = KnowledgeBase(kb.records.values()), KnowledgeBase(kb.records.values())
         assert a.match_cache == {} and a.match_cache is not b.match_cache
-        assert len(a) == len(kb) and a.records is kb.records
+        assert len(a) == len(kb) and a.records == kb.records

@@ -102,7 +102,7 @@ class TestKindMatch:
         from dimkit.kb import KnowledgeBase
         from test_kb import make_record
 
-        tiny = KnowledgeBase.from_records(
+        tiny = KnowledgeBase(
             [make_record("X", "Length", DimensionVector.of(L=1), 1.0)]
         )
         with pytest.raises(GenerationError):
@@ -238,7 +238,7 @@ class TestUnitConversion:
         # the reciprocal land within the oracle's tolerance of beta, and must
         # be dropped rather than abort generation.
         dim = DimensionVector.of(M=1, L=-1, T=-2)
-        tiny = KnowledgeBase.from_records([
+        tiny = KnowledgeBase([
             make_record("PA", "Pressure", dim, 1.0),
             make_record("DeciPA", "Pressure", dim, 0.1),
             make_record("MicroBAR", "Pressure", dim, 1e-6 * 1e5),
@@ -255,7 +255,7 @@ class TestUnitConversion:
         # of beta = 1e-306 stays finite.  inf must be dropped like a
         # near-duplicate, leaving six finite distractors to choose from.
         dim = DimensionVector.of(M=1, L=-1, T=-2)
-        tiny = KnowledgeBase.from_records([
+        tiny = KnowledgeBase([
             make_record("PA", "Pressure", dim, 1.0),
             make_record("HUGE", "Pressure", dim, 1e306),
         ])
@@ -293,7 +293,7 @@ def _every_draw_rejected_kb(family):
         # three terms can give L, but then no unit is left to be a
         # distractor of another dimension
         records = [make_record(f"L{i}", "Length", length, 10.0**i) for i in range(5)]
-    return KnowledgeBase.from_records(records)
+    return KnowledgeBase(records)
 
 
 @pytest.mark.parametrize(
