@@ -7,7 +7,7 @@ aggregates cosine similarity between context tokens and the unit's
 keywords under a deterministic trigram-hash embedder.
 """
 
-from dimkit import Mention, TrigramHashEmbedding, link, load_kb
+from dimkit import TrigramHashEmbedding, link, load_kb
 from dimkit.cli import packaged_data
 
 kb = load_kb(packaged_data("units.tsv"))
@@ -16,7 +16,7 @@ emb = TrigramHashEmbedding()
 
 def show(surface, context=""):
     print(f"\nlink {surface!r}" + (f" | context {context!r}" if context else ""))
-    for c in link(kb, Mention(surface, context), emb, threshold=0.5)[:4]:
+    for c in link(kb, surface, context, emb, threshold=0.5)[:4]:
         print(f"  {c.unit_id:16} prior={c.prior:.3f} mention={c.p_mention:.3f} "
               f"context={c.p_context:.3f} score={c.score:.5f}")
 

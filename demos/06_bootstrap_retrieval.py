@@ -8,13 +8,7 @@ surviving predicates' objects contribute new unit mentions.
 
 import random
 
-from dimkit import (
-    BootstrapConfig,
-    bootstrap_retrieve,
-    load_kb,
-    load_triplets,
-    render_triplet_sentence,
-)
+from dimkit import bootstrap_retrieve, load_kb, load_triplets, render_triplet_sentence
 from dimkit.cli import packaged_data
 
 kb = load_kb(packaged_data("units.tsv"))
@@ -22,9 +16,7 @@ store = load_triplets(packaged_data("triplets.tsv"))
 print(f"store: {len(store)} triplets, predicates: {store.all_predicates()}")
 
 for iterations in (0, 1, 5):
-    result = bootstrap_retrieve(
-        store, kb, BootstrapConfig(tau=0.8, iterations=iterations, seed_unit_count=10)
-    )
+    result = bootstrap_retrieve(store, kb, tau=0.8, iterations=iterations, seed_unit_count=10)
     print(f"\niterations={iterations}: retrieved {len(result.triplets)} triplets")
     print("  surviving predicates:", sorted(result.predicates) or "(none yet)")
     print("  mention set size:", len(result.mentions))
@@ -34,7 +26,7 @@ for iterations in (0, 1, 5):
 # filtered out; their quantity-bearing objects remain reachable through
 # the mention set.
 
-result = bootstrap_retrieve(store, kb, BootstrapConfig(0.8, 5, 10))
+result = bootstrap_retrieve(store, kb, 0.8, 5, 10)
 print("\nsample retrieved triplets rendered as sentences:")
 rng = random.Random(0)
 for t in result.triplets[:5]:

@@ -16,7 +16,6 @@ import importlib
 # Public names by defining module: the one table __getattr__ resolves from.
 _EXPORTS = {
     "bootstrap": (
-        "BootstrapConfig",
         "BootstrapResult",
         "InMemoryTripletStore",
         "Triplet",
@@ -27,9 +26,6 @@ _EXPORTS = {
     "dimension": (
         "DIMENSIONLESS",
         "DimensionVector",
-        "dim_div",
-        "dim_mul",
-        "dim_pow",
         "format_dimension",
         "format_symbolic",
         "is_comparable",
@@ -37,7 +33,6 @@ _EXPORTS = {
     ),
     "embeddings": ("TrigramHashEmbedding", "WordVectorEmbedding"),
     "kb": (
-        "FrequencyWeights",
         "KnowledgeBase",
         "QuantityKind",
         "UnitRecord",
@@ -51,7 +46,6 @@ _EXPORTS = {
     ),
     "linking": (
         "LinkCandidate",
-        "Mention",
         "candidate_generation",
         "context_score",
         "levenshtein",

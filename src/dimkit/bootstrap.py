@@ -114,23 +114,6 @@ def load_triplets(path: str | Path) -> InMemoryTripletStore:
     return InMemoryTripletStore(read_rows(path, _triplet_row))
 
 
-class BootstrapConfig:
-    __slots__ = ("tau", "iterations", "seed_unit_count")
-
-    def __init__(self, tau: float = 0.8, iterations: int = 5, seed_unit_count: int = 10):
-        if not (0.0 < tau <= 1.0):
-            raise InputError(f"tau must lie in (0, 1], got {tau}")
-        if iterations < 0:
-            raise InputError(f"iterations must be >= 0, got {iterations}")
-        if seed_unit_count < 1:
-            raise InputError(f"seed_unit_count must be >= 1, got {seed_unit_count}")
-        for name, value in zip(self.__slots__, (tau, iterations, seed_unit_count)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"BootstrapConfig is immutable: cannot set {name!r}")
-
-
 class BootstrapResult(NamedTuple):
     triplets: tuple[Triplet, ...]
     predicates: frozenset[str]
@@ -146,10 +129,14 @@ def seed_mentions(kb: KnowledgeBase, count: int) -> frozenset[str]:
 def bootstrap_retrieve(
     store: InMemoryTripletStore,
     kb: KnowledgeBase,
-    config: BootstrapConfig = BootstrapConfig(),
+    tau: float = 0.8,
+    iterations: int = 5,
+    seed_unit_count: int = 10,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> BootstrapResult:
-    """Run the bootstrap loop over `store`.
+    """Run the bootstrap loop over `store`: `iterations` rounds from the
+    forms of the `seed_unit_count` most frequent units, keeping the
+    predicates whose quantity ratio reaches `tau`.
 
     An object is a quantity iff :func:`value_units` finds a unit surface
     in it, and its mentions are those surfaces, normalized.  These are
@@ -158,10 +145,17 @@ def bootstrap_retrieve(
     (every KB unit has keywords).  So the result does not depend on an
     embedder, and none is used.  Surfaces are memoized per distinct
     object, and each predicate's quantity ratio and surfaces per run.  A
-    threshold outside (0, 1] raises InputError, even when no object is
+    threshold or tau outside (0, 1], negative iterations or a
+    seed_unit_count below 1 raises InputError, even when no object is
     read.
     """
     check_threshold(threshold)
+    if not (0.0 < tau <= 1.0):
+        raise InputError(f"tau must lie in (0, 1], got {tau}")
+    if iterations < 0:
+        raise InputError(f"iterations must be >= 0, got {iterations}")
+    if seed_unit_count < 1:
+        raise InputError(f"seed_unit_count must be >= 1, got {seed_unit_count}")
 
     @functools.cache
     def unit_surfaces(obj: str) -> frozenset[str]:
@@ -176,16 +170,16 @@ def bootstrap_retrieve(
         ratio = sum(1 for s in objects if s) / len(triplets) if triplets else 0.0
         return ratio, frozenset().union(*objects)
 
-    mentions: frozenset[str] = seed_mentions(kb, config.seed_unit_count)
+    mentions: frozenset[str] = seed_mentions(kb, seed_unit_count)
     predicates: frozenset[str] = frozenset()
 
-    for _ in range(config.iterations):
+    for _ in range(iterations):
         # Step 1: predicates reachable from the mention set.
         found: set[str] = set()
         for mention in sorted(mentions):
             found.update(t.predicate for t in store.triplets_with_object_containing(mention))
         # Step 2: keep predicates whose quantity ratio reaches tau.
-        predicates = frozenset(p for p in found if predicate_stats(p)[0] >= config.tau)
+        predicates = frozenset(p for p in found if predicate_stats(p)[0] >= tau)
         # Step 3: rebuild the mention set from the survivors' objects.
         mentions = frozenset().union(*(predicate_stats(p)[1] for p in predicates))
 

@@ -43,7 +43,7 @@ from .errors import (
     UnitResolutionError,
 )
 from .kb import KnowledgeBase, conversion_factor, load_kb, lookup_surface
-from .linking import DEFAULT_THRESHOLD, Mention, candidate_generation, check_threshold, link, rank_key
+from .linking import DEFAULT_THRESHOLD, candidate_generation, check_surface, check_threshold, link, rank_key
 from .util import derive_rng, format_number, jsonl_lines, read_lines, read_records, write_lines
 
 if TYPE_CHECKING:
@@ -119,8 +119,8 @@ def _resolve_unit(kb, surface: str, threshold: float) -> str:
     exact = sorted(lookup_surface(kb, surface))
     if len(exact) == 1:
         return exact[0]
-    mention = Mention(surface)  # rejects an empty surface
-    best = min(candidate_generation(kb, mention.surface, threshold), key=rank_key, default=None)
+    check_surface(surface)
+    best = min(candidate_generation(kb, surface, threshold), key=rank_key, default=None)
     if best is None:
         raise UnitResolutionError(f"cannot resolve unit {surface!r}")
     return best.unit_id
@@ -155,7 +155,7 @@ def cmd_link(args) -> int:
         raise InputError(f"--top-k must be >= 1, got {args.top_k}")
     kb = _load_kb(args)
     emb = _embedder(args.embedder)
-    ranked = link(kb, Mention(args.surface, context=args.context), emb, args.threshold)
+    ranked = link(kb, args.surface, args.context, emb, args.threshold)
     if not ranked:
         print(f"no candidates for {args.surface!r}", file=sys.stderr)
         return EXIT_EMPTY
@@ -210,7 +210,7 @@ def cmd_gen_tasks(args) -> int:
     for task_type in wanted:
         rng = derive_rng(args.seed, "gen-tasks", task_type)
         extra = options.get(task_type, {})
-        instances += tasks.generate(task_type, kb, rng, args.n, m, **extra)
+        instances += tasks.GENERATORS[task_type](kb=kb, rng=rng, n=args.n, m=m, **extra)
     write_lines((args.output, jsonl_lines(instances)))
     return EXIT_OK
 
@@ -241,10 +241,9 @@ def cmd_bootstrap(args) -> int:
 
     kb = _load_kb(args)
     store = bootstrap_mod.load_triplets(args.store)
-    config = bootstrap_mod.BootstrapConfig(
-        tau=args.tau, iterations=args.iters, seed_unit_count=args.seed_units
+    result = bootstrap_mod.bootstrap_retrieve(
+        store, kb, args.tau, args.iters, args.seed_units, args.threshold
     )
-    result = bootstrap_mod.bootstrap_retrieve(store, kb, config, args.threshold)
     write_lines((args.output, [_bootstrap_json(result)]))
     return EXIT_OK
 

@@ -142,21 +142,6 @@ def _result(exponents: tuple) -> DimensionVector:
 DIMENSIONLESS = DimensionVector((0, 0, 0, 0, 0, 0, 0))
 
 
-def dim_mul(a: DimensionVector, b: DimensionVector) -> DimensionVector:
-    """Dimension of a product: exponent-wise sum."""
-    return a * b
-
-
-def dim_div(a: DimensionVector, b: DimensionVector) -> DimensionVector:
-    """Dimension of a quotient: exponent-wise difference."""
-    return a / b
-
-
-def dim_pow(a: DimensionVector, k: int) -> DimensionVector:
-    """Dimension of a power: exponent-wise multiply by k."""
-    return a**k
-
-
 def is_comparable(a: DimensionVector, b: DimensionVector) -> bool:
     """Dimension Law predicate: quantities may be added, subtracted or
     compared iff all seven exponents agree."""

@@ -88,26 +88,10 @@ class QuantityKind(NamedTuple):
     standard_unit: str
 
 
-class FrequencyWeights:
-    """Weights of the three raw popularity signals plus the floor delta."""
-
-    __slots__ = ("alpha_gt", "alpha_hs", "alpha_cf", "delta")
-
-    def __init__(
-        self, alpha_gt: float = 0.3, alpha_hs: float = 0.3, alpha_cf: float = 0.4, delta: float = 0.1
-    ):
-        total = alpha_gt + alpha_hs + alpha_cf
-        if any(a < 0 for a in (alpha_gt, alpha_hs, alpha_cf)):
-            raise ValueError("alpha weights must be nonnegative")
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"alpha weights must sum to 1, got {total}")
-        if not (0.0 < delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        for name, value in zip(self.__slots__, (alpha_gt, alpha_hs, alpha_cf, delta)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FrequencyWeights is immutable: cannot set {name!r}")
+#: Weights of the three raw popularity signals (gt, hs, cf), and the
+#: frequency floor delta.
+FREQUENCY_ALPHAS = (0.3, 0.3, 0.4)
+FREQUENCY_DELTA = 0.1
 
 
 def padded_bigrams(form: str) -> list[str]:
@@ -340,14 +324,11 @@ def load_frequency_sidecar(path: str | Path) -> dict[str, tuple[float, float, fl
     return raw
 
 
-def compute_frequency(
-    raw: Mapping[str, tuple[float, float, float]],
-    weights: FrequencyWeights = FrequencyWeights(),
-) -> dict[str, float]:
-    """Weighted log-score of the three raw signals, min-max rescaled to
-    [delta, 1]: the min-score unit gets exactly delta, the max exactly 1.
+def compute_frequency(raw: Mapping[str, tuple[float, float, float]]) -> dict[str, float]:
+    """FREQUENCY_ALPHAS-weighted log-score of the three raw signals,
+    min-max rescaled to [FREQUENCY_DELTA, 1]: the min-score unit gets
+    exactly delta, the max exactly 1.
     """
-    alphas = (weights.alpha_gt, weights.alpha_hs, weights.alpha_cf)
     scores: dict[str, float] = {}
     for unit_id, triple in raw.items():
         if len(triple) != 3:
@@ -356,7 +337,7 @@ def compute_frequency(
             raise FrequencyDomainError(
                 f"unit {unit_id}: raw frequencies must be positive, got {triple}"
             )
-        scores[unit_id] = sum(a * math.log(v) for a, v in zip(alphas, triple))
+        scores[unit_id] = sum(a * math.log(v) for a, v in zip(FREQUENCY_ALPHAS, triple))
 
     if not scores:
         return {}
@@ -365,7 +346,7 @@ def compute_frequency(
         raise DegenerateScoreError("all units share one score; range normalization undefined")
     span = hi - lo
     return {
-        unit_id: (1.0 - weights.delta) * ((s - lo) / span) + weights.delta
+        unit_id: (1.0 - FREQUENCY_DELTA) * ((s - lo) / span) + FREQUENCY_DELTA
         for unit_id, s in scores.items()
     }
 

@@ -50,21 +50,6 @@ if TYPE_CHECKING:
 DEFAULT_THRESHOLD = 0.5
 
 
-class Mention:
-    """A unit mention and its surrounding text (mention excluded)."""
-
-    __slots__ = ("surface", "context")
-
-    def __init__(self, surface: str, context: str = ""):
-        if not surface:
-            raise InputError("mention surface must be non-empty")
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "context", context)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Mention is immutable: cannot set {name!r}")
-
-
 class LinkCandidate(NamedTuple):
     """A scored hypothesis linking a mention to one unit."""
 
@@ -222,6 +207,12 @@ def check_threshold(threshold: float) -> None:
         raise InputError(f"threshold must lie in (0, 1], got {threshold}")
 
 
+def check_surface(surface: str) -> None:
+    """Reject an empty mention surface."""
+    if not surface:
+        raise InputError("mention surface must be non-empty")
+
+
 def candidate_generation(
     kb: KnowledgeBase, surface: str, threshold: float = DEFAULT_THRESHOLD
 ) -> list[LinkCandidate]:
@@ -359,19 +350,24 @@ def context_score(context: str, record: UnitRecord, emb: EmbeddingProvider) -> f
 
 def link(
     kb: KnowledgeBase,
-    mention: Mention,
+    surface: str,
+    context: str,
     emb: EmbeddingProvider,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> list[LinkCandidate]:
-    """Full three-factor linking, sorted by descending confidence.
+    """Full three-factor linking of a unit mention, sorted by descending
+    confidence.
 
-    Ties break by higher prior then lexicographic unit_id so output
-    order is deterministic.  An empty list signals an unlinkable
-    mention.
+    ``context`` is the text the mention stands in: every caller passes
+    the whole sentence, mention included; "" scores every candidate's
+    context as neutral.  An empty surface raises InputError.  Ties break
+    by higher prior then lexicographic unit_id so output order is
+    deterministic.  An empty list signals an unlinkable mention.
     """
-    candidates = candidate_generation(kb, mention.surface, threshold)
+    check_surface(surface)
+    candidates = candidate_generation(kb, surface, threshold)
     scored = [
-        c._replace(p_context=context_score(mention.context, kb.records[c.unit_id], emb))
+        c._replace(p_context=context_score(context, kb.records[c.unit_id], emb))
         for c in candidates
     ]
     scored.sort(key=rank_key)

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Sequence
 from .embeddings import EmbeddingProvider, TrigramHashEmbedding
 from .errors import AugmentationError, ConversionRangeError, EquationError, InputError
 from .kb import KnowledgeBase, conversion_factor
-from .linking import DEFAULT_THRESHOLD, Mention, link
+from .linking import DEFAULT_THRESHOLD, link
 from .quantity_text import QuantityMention, extract_quantities
 from .util import (
     byte_length,
@@ -303,7 +303,7 @@ def find_unit_mentions(
             i += 1
             continue
         length, candidate, exact = hit
-        ranked = link(kb, Mention(candidate, context=text), emb, threshold) if len(exact) > 1 else []
+        ranked = link(kb, candidate, text, emb, threshold) if len(exact) > 1 else []
         unit_id = next((c.unit_id for c in ranked if c.unit_id in exact), exact[0])
         end = byte_pos + byte_length(candidate)
         out.append(UnitMention((byte_pos, end), candidate, unit_id))

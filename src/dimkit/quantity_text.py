@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence
 
 from .kb import KnowledgeBase
-from .linking import DEFAULT_THRESHOLD, Mention, candidate_generation, check_threshold, link
+from .linking import DEFAULT_THRESHOLD, candidate_generation, check_threshold, link
 from .util import (
     byte_replace,
     byte_slice,
@@ -64,6 +64,18 @@ NUMBER_RE = re.compile(
 _UNIT_EXTRA = set("/·°^²³μµ% ")
 
 
+def _span_in(raw: bytes, value, low: int) -> tuple[int, int]:
+    """A decoded span field with low <= start <= end <= len(raw), both
+    ends on UTF-8 character boundaries of raw; else ValueError."""
+    start, end = span = span_field(value)
+    if not low <= start <= end <= len(raw):
+        raise ValueError(f"span {list(span)} must satisfy {low} <= start <= end <= {len(raw)}")
+    for i in span:
+        if i < len(raw) and raw[i] & 0xC0 == 0x80:  # a UTF-8 continuation byte
+            raise ValueError(f"byte offset {i} falls inside a character")
+    return span
+
+
 class QuantityMention(NamedTuple):
     """A located value (+ optional unit) span in one sentence."""
 
@@ -83,10 +95,14 @@ class QuantityMention(NamedTuple):
         return self._asdict()
 
     @classmethod
-    def from_dict(cls, d: dict) -> "QuantityMention":
+    def from_dict(cls, d: dict, raw: bytes) -> "QuantityMention":
+        """A mention of the sentence whose UTF-8 bytes are raw: its spans
+        must lie in raw on character boundaries, the unit span no
+        earlier than the value span's end."""
+        value_span = _span_in(raw, d["value_span"], 0)
         return cls(
-            value_span=span_field(d["value_span"]),
-            unit_span=span_field(d["unit_span"]) if d.get("unit_span") else None,
+            value_span=value_span,
+            unit_span=_span_in(raw, d["unit_span"], value_span[1]) if d.get("unit_span") else None,
             value=number_field(d["value"]),
             unit_surface=text_field(d.get("unit_surface", "")),
             linked_unit=text_field(d.get("linked_unit"), nullable=True),
@@ -110,9 +126,11 @@ class AnnotatedSentence(NamedTuple):
 
     @classmethod
     def from_dict(cls, d: dict) -> "AnnotatedSentence":
+        text = text_field(d["text"])
+        raw = text.encode("utf-8")
         return cls(
-            text=text_field(d["text"]),
-            mentions=tuple(QuantityMention.from_dict(m) for m in d["mentions"]),
+            text=text,
+            mentions=tuple(QuantityMention.from_dict(m, raw) for m in d["mentions"]),
             provenance=text_field(d.get("provenance", "rule")),
             line_no=int_field(d.get("line_no", 0)),
         )
@@ -123,13 +141,16 @@ class ReviewRow(NamedTuple):
 
     Verdicts emitted by the pipeline: ``kept:numeric``, ``kept:unit``,
     ``removed``, ``error:oracle``.  Humans may rewrite a verdict to
-    ``accept`` or ``reject`` before re-applying.
+    ``accept`` or ``reject`` before re-applying; no other verdict loads.
     """
 
     line_no: int
     span: tuple[int, int]
     surface: str
     verdict: str
+
+
+VERDICTS = ("kept:numeric", "kept:unit", "removed", "error:oracle", "accept", "reject")
 
 
 class MaskedFillOracle(Protocol):
@@ -302,7 +323,7 @@ def extract_quantities(
         if surface is None:
             mentions.append(QuantityMention(value_span, None, value))
             continue
-        top = link(kb, Mention(surface, context=text), emb, threshold)[0]
+        top = link(kb, surface, text, emb, threshold)[0]
         mentions.append(
             QuantityMention(
                 value_span=value_span,
@@ -415,9 +436,12 @@ def _review_row(cols: list[str]) -> ReviewRow:
     try:
         line_no, span, surface, verdict = cols
         start, end = span.split("-")
-        return ReviewRow(int(line_no), (int(start), int(end)), surface, verdict)
+        row = ReviewRow(int(line_no), (int(start), int(end)), surface, verdict)
     except ValueError:
         raise ValueError("expected LINE<TAB>START-END<TAB>SURFACE<TAB>VERDICT") from None
+    if verdict not in VERDICTS:
+        raise ValueError(f"unknown verdict {verdict!r} (expected one of {', '.join(VERDICTS)})")
+    return row
 
 
 def load_review(path: str | Path) -> list[ReviewRow]:

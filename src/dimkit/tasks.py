@@ -47,13 +47,24 @@ class TaskInstance(NamedTuple):
 
     @classmethod
     def from_dict(cls, d: dict) -> "TaskInstance":
+        """The prompt must be an object, the candidates a list of strings
+        and answer_index the index of one of them."""
+        id_, task_type, prompt = text_field(d["id"]), text_field(d["task_type"]), d["prompt"]
+        if not isinstance(prompt, dict):
+            raise TypeError("expected an object")
+        candidates = d["candidates"]
+        if type(candidates) not in (list, tuple) or any(type(c) is not str for c in candidates):
+            raise TypeError("expected a list of strings")
+        answer_index = int_field(d["answer_index"])
+        if not 0 <= answer_index < len(candidates):
+            raise ValueError(f"{answer_index} is not the index of one of {len(candidates)} candidates")
         return cls(
-            id=text_field(d["id"]),
-            task_type=text_field(d["task_type"]),
-            prompt=d["prompt"],
-            candidates=tuple(d["candidates"]),
-            answer_index=int_field(d["answer_index"]),
-            rationale=d.get("rationale", ""),
+            id=id_,
+            task_type=task_type,
+            prompt=prompt,
+            candidates=tuple(candidates),
+            answer_index=answer_index,
+            rationale=text_field(d.get("rationale", "")),
             seed=int_field(d.get("seed", 0)),
         )
 
@@ -474,16 +485,3 @@ ORACLES = {
 }
 
 TASK_TYPES = tuple(GENERATORS)
-
-
-def generate(
-    task_type: str,
-    kb: KnowledgeBase,
-    rng: random.Random,
-    n: int,
-    m: int = DEFAULT_CANDIDATES,
-    **options,
-) -> list[TaskInstance]:
-    """n instances of one family; family-specific inputs (``annotated``,
-    ``max_terms``) pass as keywords."""
-    return GENERATORS[task_type](kb=kb, rng=rng, n=n, m=m, **options)

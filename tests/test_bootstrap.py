@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from dimkit import linking, quantity_text
 from dimkit.bootstrap import (
-    BootstrapConfig,
     InMemoryTripletStore,
     SENTENCE_TEMPLATES,
     Triplet,
@@ -28,6 +27,7 @@ from test_kb import small_kbs
 
 
 def oracle_bootstrap(store, kb, config, emb, threshold):
+    tau, iterations, seed_units = config
     cache = {}
 
     def q_mentions(obj):
@@ -37,12 +37,12 @@ def oracle_bootstrap(store, kb, config, emb, threshold):
 
     top_units = sorted(kb.records.values(), key=lambda r: (-r.frequency, r.unit_id))
     mentions = set()
-    for record in top_units[: config.seed_unit_count]:
+    for record in top_units[:seed_units]:
         for form in record.surface_forms():
             mentions.add(normalize_surface(form))
     predicates = set()
 
-    for _ in range(config.iterations):
+    for _ in range(iterations):
         predicates = set()
         for t in store.triplets:
             if any(object_contains(t.obj, m) for m in mentions):
@@ -53,7 +53,7 @@ def oracle_bootstrap(store, kb, config, emb, threshold):
             quantity = [
                 t for t in group if any(m.linked_unit for m in q_mentions(t.obj))
             ]
-            if group and len(quantity) / len(group) >= config.tau:
+            if group and len(quantity) / len(group) >= tau:
                 kept.add(p)
         predicates = kept
         mentions = set()
@@ -152,7 +152,7 @@ class TestTriplet:
         triplets.append(Triplet("s9", "height", "150 cm"))  # a repeated row
         triplets.append(Triplet("x", "weight", "70 kg"))
         store = InMemoryTripletStore(triplets)
-        result = bootstrap_retrieve(store, kb, BootstrapConfig(tau=0.5))
+        result = bootstrap_retrieve(store, kb, tau=0.5)
         retrieved = [
             t for m in sorted(result.mentions) for t in store.triplets_with_object_containing(m)
         ]
@@ -260,8 +260,8 @@ class TestStoreIndex:
     def test_bootstrap_matches_oracle_on_synthesized_store(self, kb, emb):
         store = synthesized_store()
         assert len(store) == 2000 and len({t.obj for t in store.triplets}) == 50
-        config = BootstrapConfig(tau=0.8, iterations=5, seed_unit_count=10)
-        result = bootstrap_retrieve(store, kb, config, 0.5)
+        config = (0.8, 5, 10)
+        result = bootstrap_retrieve(store, kb, *config, 0.5)
         o_triplets, o_predicates, o_mentions = oracle_bootstrap(store, kb, config, emb, 0.5)
         assert set(result.triplets) == o_triplets
         assert set(result.predicates) == o_predicates
@@ -282,14 +282,14 @@ class TestBootstrap:
         triplets.append(Triplet("s9", "height", "unknown"))
         triplets.append(Triplet("x", "color", "red"))
         store = InMemoryTripletStore(triplets)
-        result = bootstrap_retrieve(store, kb, BootstrapConfig(0.8, 1, 5), 0.5)
+        result = bootstrap_retrieve(store, kb, 0.8, 1, 5, 0.5)
         assert result.predicates == {"height"}
 
     def test_strict_tau_drops_on_single_nonquantity(self, kb):
         triplets = [Triplet(f"s{i}", "height", f"{150 + i} cm") for i in range(9)]
         triplets.append(Triplet("s9", "height", "unknown"))
         store = InMemoryTripletStore(triplets)
-        result = bootstrap_retrieve(store, kb, BootstrapConfig(1.0, 1, 5), 0.5)
+        result = bootstrap_retrieve(store, kb, 1.0, 1, 5, 0.5)
         assert result.predicates == set()
 
     @pytest.mark.parametrize("threshold", [0.0, 1.5])
@@ -299,10 +299,10 @@ class TestBootstrap:
         # only a check made first rejects the threshold in every case
         for s, iterations in ((store, 1), (store, 0), (InMemoryTripletStore([]), 1)):
             with pytest.raises(InputError):
-                bootstrap_retrieve(s, kb, BootstrapConfig(0.8, iterations, 10), threshold)
+                bootstrap_retrieve(s, kb, 0.8, iterations, 10, threshold)
 
     def test_zero_iterations_is_seed_retrieval(self, kb, store):
-        result = bootstrap_retrieve(store, kb, BootstrapConfig(0.8, 0, 10), 0.5)
+        result = bootstrap_retrieve(store, kb, 0.8, 0, 10, 0.5)
         assert result.predicates == frozenset()
         assert result.mentions == seed_mentions(kb, 10)
         for t in result.triplets:
@@ -311,17 +311,15 @@ class TestBootstrap:
     def test_monotone_growth_over_iterations(self, kb, store):
         previous = None
         for iterations in range(6):
-            result = bootstrap_retrieve(
-                store, kb, BootstrapConfig(0.8, iterations, 10), 0.5
-            )
+            result = bootstrap_retrieve(store, kb, 0.8, iterations, 10, 0.5)
             current = set(result.triplets)
             if previous is not None:
                 assert previous <= current
             previous = current
 
     def test_matches_naive_oracle_on_shipped_store(self, kb, emb, store):
-        config = BootstrapConfig(tau=0.8, iterations=5, seed_unit_count=10)
-        result = bootstrap_retrieve(store, kb, config, 0.5)
+        config = (0.8, 5, 10)
+        result = bootstrap_retrieve(store, kb, *config, 0.5)
         o_triplets, o_predicates, o_mentions = oracle_bootstrap(store, kb, config, emb, 0.5)
         assert set(result.triplets) == o_triplets
         assert set(result.predicates) == o_predicates
@@ -337,13 +335,13 @@ class TestBootstrap:
     @settings(max_examples=150, deadline=None)
     def test_matches_oracle_on_small_kbs(self, emb, case, tau, iterations, seed_units, threshold):
         kb, store = case
-        config = BootstrapConfig(tau, iterations, seed_units)
-        result = bootstrap_retrieve(store, kb, config, threshold)
+        config = (tau, iterations, seed_units)
+        result = bootstrap_retrieve(store, kb, *config, threshold)
         expected = oracle_bootstrap(store, kb, config, emb, threshold)
         assert (set(result.triplets), result.predicates, result.mentions) == expected
 
     def test_never_links_or_scores_context(self, kb, emb, store, monkeypatch):
-        config = BootstrapConfig(tau=0.8, iterations=5, seed_unit_count=10)
+        config = (0.8, 5, 10)
         expected = oracle_bootstrap(store, kb, config, emb, 0.5)
 
         def fail(*args, **kwargs):
@@ -352,24 +350,23 @@ class TestBootstrap:
         monkeypatch.setattr(linking, "link", fail)
         monkeypatch.setattr(quantity_text, "link", fail)
         monkeypatch.setattr(linking, "context_score", fail)
-        result = bootstrap_retrieve(store, kb, config, 0.5)
+        result = bootstrap_retrieve(store, kb, *config, 0.5)
         assert (set(result.triplets), result.predicates, result.mentions) == expected
 
     def test_expected_shipped_dynamics(self, kb, store):
-        result = bootstrap_retrieve(store, kb, BootstrapConfig(0.8, 5, 10), 0.5)
+        result = bootstrap_retrieve(store, kb, 0.8, 5, 10, 0.5)
         # quantity-rich predicates survive; sparse/noisy ones are filtered
         assert {"height", "weight", "duration", "distance"} <= result.predicates
         assert "capacity" not in result.predicates  # 7/10 < tau
         assert "product_code" not in result.predicates
         assert "spouse" not in result.predicates
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BootstrapConfig(tau=0.0)
-        with pytest.raises(ValueError):
-            BootstrapConfig(iterations=-1)
-        with pytest.raises(ValueError):
-            BootstrapConfig(seed_unit_count=0)
+    @pytest.mark.parametrize(
+        "bad", [dict(tau=0.0), dict(tau=1.5), dict(iterations=-1), dict(seed_unit_count=0)]
+    )
+    def test_parameter_validation(self, kb, store, bad):
+        with pytest.raises(InputError):
+            bootstrap_retrieve(store, kb, **bad)
 
 
 class TestRenderTriplet:

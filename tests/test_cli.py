@@ -15,7 +15,7 @@ from dimkit.bootstrap import BootstrapResult, Triplet
 from dimkit.cli import _bootstrap_json, _resolve_unit, main
 from dimkit.errors import UnitResolutionError
 from dimkit.kb import lookup_surface
-from dimkit.linking import Mention, link
+from dimkit.linking import link
 from dimkit.mwp import evaluate_equation
 
 
@@ -287,6 +287,7 @@ class TestInputErrors:
             ["--threshold", "0", "link", "meter"],
             ["--threshold", "1.5", "link", "meter"],
             ["link", ""],
+            ["convert", "1", "", "meter"],
             ["--embedder", "vectors:{tmp}/vectors.txt", "link", "degree"],
             ["bootstrap", "{tmp}/triplets.tsv"],
             ["score", "{tmp}/bad.jsonl", "{tmp}/bad.jsonl"],
@@ -491,6 +492,72 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith(f"error: {bad_file}: line 2: ") and err.count("\n") == 1
         assert field in err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    GEN_TASKS = ["gen-tasks", "dimension_prediction", "-n", "3", "--annotated", "{}"]
+
+    @pytest.mark.parametrize(
+        "argv,bad_file,field",
+        [
+            (GEN_TASKS, "inside_char.jsonl", "'value_span'"),
+            (GEN_TASKS, "past_end.jsonl", "'value_span'"),
+            (GEN_TASKS, "reversed.jsonl", "'value_span'"),
+            (GEN_TASKS, "unit_first.jsonl", "'unit_span'"),
+            (GEN_TASKS, "unit_inside.jsonl", "'unit_span'"),
+            (["score", "sentences.jsonl", "{}"], "past_end.jsonl", "'value_span'"),
+            (["annotate", "corpus.txt", "--apply-review", "{}"], "review.tsv", "verdict 'rejct'"),
+            (["score", "{}", "preds.jsonl"], "gold_string.jsonl", "'candidates'"),
+            (["score", "{}", "preds.jsonl"], "gold_numbers.jsonl", "'candidates'"),
+            (["score", "{}", "preds.jsonl"], "gold_index.jsonl", "'answer_index'"),
+            (["score", "{}", "preds.jsonl"], "gold_negative.jsonl", "'answer_index'"),
+            (["score", "{}", "preds.jsonl"], "gold_rationale.jsonl", "'rationale'"),
+            (["score", "{}", "preds.jsonl"], "gold_prompt.jsonl", "'prompt'"),
+        ],
+    )
+    def test_span_verdict_or_task_field_out_of_its_domain_exits_4(
+        self, capsys, tmp_path, monkeypatch, argv, bad_file, field
+    ):
+        """A span that leaves its sentence, splits a UTF-8 character or
+        puts the unit before the value; a review verdict outside the six
+        named ones; gold candidates that are not a list of strings, an
+        answer_index that indexes none of them, a rationale that is not a
+        string, a prompt that is not an object: each is a data error that
+        names the file, the line and the field, and nothing is written."""
+        mention = {"value_span": [0, 1], "unit_span": [2, 4], "value": 5.0, "unit_surface": "kg",
+                   "linked_unit": "KiloGM"}
+        sentence = {"line_no": 1, "text": "5 kg", "mentions": [mention]}
+        second = {**sentence, "line_no": 2}
+        task = {"id": "kind_match-00000", "task_type": "kind_match", "prompt": {},
+                "candidates": ["a"], "answer_index": 0}
+        task2 = {**task, "id": "kind_match-00001"}
+        files = {
+            "sentences.jsonl": [sentence],
+            "inside_char.jsonl": [sentence, {**second, "text": "米 5 kg", "mentions": [
+                {**mention, "value_span": [0, 1], "unit_span": None}]}],
+            "past_end.jsonl": [sentence, {**second, "mentions": [{**mention, "value_span": [0, 99]}]}],
+            "reversed.jsonl": [sentence, {**second, "mentions": [{**mention, "value_span": [3, 1]}]}],
+            "unit_first.jsonl": [sentence, {**second, "mentions": [{**mention, "unit_span": [0, 4]}]}],
+            "unit_inside.jsonl": [sentence, {**second, "text": "5 米", "mentions": [
+                {**mention, "unit_span": [2, 4], "unit_surface": "米"}]}],
+            "preds.jsonl": [{"id": "kind_match-00000", "answer": 0}, {"id": "kind_match-00001", "answer": 5}],
+            "gold_string.jsonl": [task, {**task2, "candidates": "ab"}],
+            "gold_numbers.jsonl": [task, {**task2, "candidates": [1, 2]}],
+            "gold_index.jsonl": [task, {**task2, "answer_index": 5}],
+            "gold_negative.jsonl": [task, {**task2, "answer_index": -1}],
+            "gold_rationale.jsonl": [task, {**task2, "rationale": 3}],
+            "gold_prompt.jsonl": [task, {**task2, "prompt": "x"}],
+        }
+        for name, rows in files.items():
+            (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        (tmp_path / "corpus.txt").write_text("A 5 kg bag.\nA 3 m rope.\n", encoding="utf-8")
+        (tmp_path / "review.tsv").write_text("1\t2-6\t5 kg\taccept\n2\t2-5\t3 m\trejct\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        output = [] if argv[0] == "score" else ["-o", "out.jsonl"]
+        code, out, err = run(capsys, *[a.format(bad_file) for a in argv], *output)
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"error: {bad_file}: line 2: ") and err.count("\n") == 1
+        assert field in err and "Traceback" not in err
         assert not (tmp_path / "out.jsonl").exists()
 
     @pytest.mark.parametrize(
@@ -837,7 +904,7 @@ def test_resolve_unit_is_the_top_link(kb, emb):
     for threshold in (0.5, 0.8):
         for surface in sorted(surfaces):
             exact = lookup_surface(kb, surface)
-            ranked = link(kb, Mention(surface), emb, threshold)
+            ranked = link(kb, surface, "", emb, threshold)
             if len(exact) == 1:
                 expected = next(iter(exact))
             elif ranked:

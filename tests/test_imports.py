@@ -83,15 +83,15 @@ def test_numpy_is_imported_lazily(path):
 
 # The 68 public names of the dimkit package, by defining module.
 PUBLIC = {
-    "bootstrap": "BootstrapConfig BootstrapResult InMemoryTripletStore Triplet "
+    "bootstrap": "BootstrapResult InMemoryTripletStore Triplet "
     "bootstrap_retrieve load_triplets render_triplet_sentence",
-    "dimension": "DIMENSIONLESS DimensionVector dim_div dim_mul dim_pow format_dimension "
+    "dimension": "DIMENSIONLESS DimensionVector format_dimension "
     "format_symbolic is_comparable parse_dimension",
     "embeddings": "TrigramHashEmbedding WordVectorEmbedding",
-    "kb": "FrequencyWeights KnowledgeBase QuantityKind UnitRecord compute_frequency "
+    "kb": "KnowledgeBase QuantityKind UnitRecord compute_frequency "
     "conversion_factor kind_frequency load_frequency_sidecar load_kb lookup_surface "
     "units_of_dimension",
-    "linking": "LinkCandidate Mention candidate_generation context_score levenshtein link "
+    "linking": "LinkCandidate candidate_generation context_score levenshtein link "
     "mention_similarity",
     "mwp": "AugmentationRecord MwpProblem annotate_problem augment_context_dimension "
     "augment_context_format augment_dataset augment_question_dimension augment_question_format "
@@ -108,7 +108,7 @@ PUBLIC_NAMES = {name: module for module, names in PUBLIC.items() for name in nam
 def test_public_names_are_pinned():
     import dimkit
 
-    assert len(PUBLIC_NAMES) == 68
+    assert len(PUBLIC_NAMES) == 62
     assert sorted(dimkit.__all__) == sorted(PUBLIC_NAMES)
     assert set(PUBLIC_NAMES) <= set(dir(dimkit))
 

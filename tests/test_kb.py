@@ -16,7 +16,6 @@ from dimkit.errors import (
     UnknownKindError,
 )
 from dimkit.kb import (
-    FrequencyWeights,
     KnowledgeBase,
     UnitRecord,
     compute_frequency,
@@ -255,12 +254,6 @@ class TestFrequency:
             compute_frequency({"a": (0.0, 1.0, 1.0), "b": (2.0, 2.0, 2.0)})
         with pytest.raises(DegenerateScoreError):
             compute_frequency({"a": (2.0, 2.0, 2.0), "b": (2.0, 2.0, 2.0)})
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            FrequencyWeights(alpha_gt=0.5, alpha_hs=0.5, alpha_cf=0.5)
-        with pytest.raises(ValueError):
-            FrequencyWeights(delta=0.0)
 
     @given(
         st.dictionaries(

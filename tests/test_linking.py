@@ -24,7 +24,6 @@ from dimkit.errors import InputError, LinkingConfigError
 from dimkit import linking
 from dimkit.kb import KnowledgeBase, UnitRecord, char_masks
 from dimkit.linking import (
-    Mention,
     candidate_generation,
     context_score,
     levenshtein,
@@ -632,14 +631,14 @@ class TestContextScoreBits:
 
 class TestLink:
     def test_dyne_cm_top1(self, kb, emb):
-        ranked = link(kb, Mention("dyne/cm", "surface tension physics"), emb, 0.5)
+        ranked = link(kb, "dyne/cm", "surface tension physics", emb, 0.5)
         assert ranked[0].unit_id == "DYN-PER-CentiM"
 
     def test_dyne_cm_top1_no_context(self, kb, emb):
-        assert link(kb, Mention("dyne/cm"), emb, 0.5)[0].unit_id == "DYN-PER-CentiM"
+        assert link(kb, "dyne/cm", "", emb, 0.5)[0].unit_id == "DYN-PER-CentiM"
 
     def test_exact_unique_surface_empty_context(self, kb, emb):
-        ranked = link(kb, Mention("kilometer"), emb, 0.5)
+        ranked = link(kb, "kilometer", "", emb, 0.5)
         top = ranked[0]
         assert top.unit_id == "KiloM"
         assert top.p_mention == 1.0 and top.p_context == 1.0
@@ -648,26 +647,30 @@ class TestLink:
     def test_rare_exact_unit_needs_context(self, kb, emb):
         # bare "poundal" loses to the far more frequent fuzzy "pounds";
         # a force-flavored context restores the exact match
-        assert link(kb, Mention("poundal"), emb, 0.5)[0].unit_id == "LB"
-        ranked = link(kb, Mention("poundal", "the lab recorded a force"), emb, 0.5)
+        assert link(kb, "poundal", "", emb, 0.5)[0].unit_id == "LB"
+        ranked = link(kb, "poundal", "the lab recorded a force", emb, 0.5)
         assert ranked[0].unit_id == "POUNDAL"
 
     def test_degree_flips_with_context(self, kb, emb):
-        by_water = link(kb, Mention("degree", "water temperature today"), emb, 0.5)
-        by_lens = link(kb, Mention("degree", "eyeglass prescription"), emb, 0.5)
+        by_water = link(kb, "degree", "water temperature today", emb, 0.5)
+        by_lens = link(kb, "degree", "eyeglass prescription", emb, 0.5)
         assert by_water[0].unit_id == "DEG_C"
         assert by_lens[0].unit_id == "DIOPTER"
 
     def test_unlinkable_returns_empty(self, kb, emb):
-        assert link(kb, Mention("zzzzqqq"), emb, 0.5) == []
+        assert link(kb, "zzzzqqq", "", emb, 0.5) == []
+
+    def test_link_rejects_an_empty_surface(self, kb, emb):
+        with pytest.raises(InputError, match="mention surface must be non-empty"):
+            link(kb, "", "a rope of 5 m", emb, 0.5)
 
     def test_score_product_invariant(self, kb, emb):
-        for c in link(kb, Mention("degree", "water boiled"), emb, 0.5):
+        for c in link(kb, "degree", "water boiled", emb, 0.5):
             assert abs(c.score - c.prior * c.p_mention * c.p_context) < 1e-12
 
     def test_matches_bruteforce_oracle(self, kb, emb):
         for surface, context in random_probes(kb, 120):
-            ranked = link(kb, Mention(surface, context), emb, 0.5)
+            ranked = link(kb, surface, context, emb, 0.5)
             expected = oracle_link(kb, surface, context, emb, 0.5)
             assert [c.unit_id for c in ranked] == [r[0] for r in expected], (surface, context)
             for c, r in zip(ranked, expected):
@@ -681,8 +684,8 @@ class TestLink:
                 for r in kb.records.values()
             )
             for surface, context in probes:
-                a = [c.unit_id for c in link(kb, Mention(surface, context), emb, 0.5)]
-                b = [c.unit_id for c in link(scaled, Mention(surface, context), emb, 0.5)]
+                a = [c.unit_id for c in link(kb, surface, context, emb, 0.5)]
+                b = [c.unit_id for c in link(scaled, surface, context, emb, 0.5)]
                 assert a == b
 
 

@@ -25,7 +25,7 @@ from dimkit.mwp import (
     load_problems,
     tokenize_equation,
 )
-from dimkit.linking import Mention, link
+from dimkit.linking import link
 from dimkit.util import format_plain, jsonl_lines, normalize_surface, on_word_boundary, write_lines
 from test_kb import make_record, small_kbs
 
@@ -155,7 +155,7 @@ def reference_unit_mentions(text, kb, emb, threshold=0.5):
             i += 1
             continue
         length, candidate, exact = hit
-        ranked = link(kb, Mention(candidate, context=text), emb, threshold) if len(exact) > 1 else []
+        ranked = link(kb, candidate, text, emb, threshold) if len(exact) > 1 else []
         unit_id = next((c.unit_id for c in ranked if c.unit_id in exact), exact[0])
         end = byte_pos + len(candidate.encode("utf-8"))
         out.append(mwp.UnitMention((byte_pos, end), candidate, unit_id))

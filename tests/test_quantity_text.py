@@ -9,7 +9,7 @@ from corpus_fixture import gold_corpus, corpus_lines, planted_oracle_table, UNLI
 from dimkit import linking, quantity_text
 from dimkit.errors import InputError
 from dimkit.kb import KnowledgeBase
-from dimkit.linking import Mention, candidate_generation, link
+from dimkit.linking import candidate_generation, link
 from dimkit.quantity_text import (
     AnnotatedSentence,
     CommandOracle,
@@ -49,7 +49,7 @@ def linking_every_prefix(text, kb, emb, threshold=0.5):
         best = None
         for end in range(1, len(window) + 1):
             prefix = window[:end].rstrip()
-            ranked = link(kb, Mention(prefix, context=text), emb, threshold)
+            ranked = link(kb, prefix, text, emb, threshold)
             if ranked:
                 key = (max(c.p_mention for c in ranked), len(prefix))
                 if best is None or key > best[0]:
@@ -322,7 +322,7 @@ class TestExtractQuantities:
             for m in extract_quantities(sentence, kb, emb, 0.5):
                 if m.linked_unit is None:
                     continue
-                ranked = link(kb, Mention(m.unit_surface, context=sentence), emb, 0.5)
+                ranked = link(kb, m.unit_surface, sentence, emb, 0.5)
                 assert ranked[0].unit_id == m.linked_unit
 
     def test_matches_linking_every_prefix(self, kb, emb, data_dir):
@@ -338,7 +338,7 @@ class TestExtractQuantities:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[1].surface)
+            calls.append(args[1])
             return link(*args, **kwargs)
 
         monkeypatch.setattr(quantity_text, "link", counted)
@@ -402,7 +402,7 @@ class TestAnnotateCorpus:
     def test_planted_false_positives_removed(self, kb, emb):
         # guard: the planted predictions must not link as units
         for word in UNLINKABLE_PREDICTIONS:
-            assert link(kb, Mention(word), emb, 0.5) == []
+            assert link(kb, word, "", emb, 0.5) == []
         oracle = TableOracle(planted_oracle_table(), default="5")
         annotated, review = annotate_corpus(corpus_lines(), kb, emb, oracle, 0.5)
         planted_lines = {g.line_no for g in gold_corpus() if not g.unambiguous}

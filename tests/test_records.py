@@ -2,23 +2,17 @@
 
 Plain records are NamedTuples: built by keyword or by position, immutable,
 equal (and hashing equal) by value, and equal to the plain tuple of their
-fields.  The records that validate on construction are small classes with
-the same construction, immutability and validation.
+fields.  DimensionVector, the one record that validates on construction,
+is a small class with the same construction and immutability.
 """
 
 import pytest
 
-from dimkit.bootstrap import BootstrapConfig, BootstrapResult, Triplet
+from dimkit.bootstrap import BootstrapResult, Triplet
 from dimkit.dimension import DimensionVector, format_dimension
-from dimkit.errors import DimensionRangeError, DimensionValidationError, InputError
-from dimkit.kb import (
-    BigramIndex,
-    FrequencyWeights,
-    KnowledgeBase,
-    QuantityKind,
-    UnitRecord,
-)
-from dimkit.linking import LinkCandidate, Mention
+from dimkit.errors import DimensionRangeError, DimensionValidationError
+from dimkit.kb import BigramIndex, KnowledgeBase, QuantityKind, UnitRecord
+from dimkit.linking import LinkCandidate
 from dimkit.mwp import AugmentationFailure, AugmentationRecord, MwpProblem, UnitMention
 from dimkit.quantity_text import AnnotatedSentence, QuantityMention, ReviewRow
 from dimkit.scoring import ChoiceMetrics, Prediction, SpanMetrics
@@ -132,39 +126,6 @@ class TestValidatingRecords:
                 DimensionVector(bad)
         with pytest.raises(DimensionRangeError):
             DimensionVector((13, 0, 0, 0, 0, 0, 0))
-
-    def test_mention(self):
-        assert Mention("m").context == ""
-        m = Mention(surface="m", context="a rope")
-        assert (m.surface, m.context) == ("m", "a rope")
-        assert Mention("m", "a rope").context == "a rope"
-        with pytest.raises(AttributeError):
-            m.surface = "km"
-        with pytest.raises(InputError):
-            Mention("")
-
-    def test_frequency_weights(self):
-        w = FrequencyWeights()
-        assert (w.alpha_gt, w.alpha_hs, w.alpha_cf, w.delta) == (0.3, 0.3, 0.4, 0.1)
-        w = FrequencyWeights(0.5, 0.25, 0.25, delta=0.2)
-        assert (w.alpha_gt, w.alpha_hs, w.alpha_cf, w.delta) == (0.5, 0.25, 0.25, 0.2)
-        with pytest.raises(AttributeError):
-            w.delta = 0.5
-        for kwargs in (dict(alpha_gt=-0.1, alpha_hs=0.7), dict(alpha_gt=0.5, alpha_hs=0.5, alpha_cf=0.5),
-                       dict(delta=0.0), dict(delta=1.0)):
-            with pytest.raises(ValueError):
-                FrequencyWeights(**kwargs)
-
-    def test_bootstrap_config(self):
-        c = BootstrapConfig()
-        assert (c.tau, c.iterations, c.seed_unit_count) == (0.8, 5, 10)
-        c = BootstrapConfig(0.5, 2, seed_unit_count=3)
-        assert (c.tau, c.iterations, c.seed_unit_count) == (0.5, 2, 3)
-        with pytest.raises(AttributeError):
-            c.tau = 0.9
-        for kwargs in (dict(tau=0.0), dict(tau=1.5), dict(iterations=-1), dict(seed_unit_count=0)):
-            with pytest.raises(InputError):
-                BootstrapConfig(**kwargs)
 
     def test_knowledge_base_starts_with_its_own_empty_cache(self, kb):
         a, b = KnowledgeBase(kb.records.values()), KnowledgeBase(kb.records.values())

@@ -22,7 +22,6 @@ from dimkit.tasks import (
     gen_kind_match,
     gen_magnitude_comparison,
     gen_unit_conversion,
-    generate,
     verify_instance,
 )
 from dimkit.util import jsonl_lines, read_records, write_lines
@@ -332,17 +331,10 @@ class TestRegistry:
     def test_generator_and_oracle_keys_follow_task_types(self):
         assert tuple(GENERATORS) == tuple(ORACLES) == TASK_TYPES
 
-    def test_generate_matches_direct_call(self, kb, annotated):
-        direct = gen_dimension_prediction(annotated, kb, random.Random(5), 6, 3)
-        routed = generate("dimension_prediction", kb, random.Random(5), 6, 3, annotated=annotated)
-        assert routed == direct
-
     @pytest.mark.parametrize("n,m", [(2, 1), (2, 0), (-1, 4)])
     def test_degenerate_sizes_rejected(self, kb, annotated, n, m):
         for task_type in TASK_TYPES:
             options = {"annotated": annotated} if task_type == "dimension_prediction" else {}
-            with pytest.raises(GenerationError):
-                generate(task_type, kb, random.Random(0), n, m, **options)
             with pytest.raises(GenerationError):
                 GENERATORS[task_type](kb=kb, rng=random.Random(0), n=n, m=m, **options)
 
@@ -381,7 +373,7 @@ class TestRandomKbs:
         for task_type in TASK_TYPES:
             options = {"annotated": annotated} if task_type == "dimension_prediction" else {}
             try:
-                instances = generate(task_type, kb, random.Random(seed), n, m, **options)
+                instances = GENERATORS[task_type](kb=kb, rng=random.Random(seed), n=n, m=m, **options)
             except DimkitError:
                 continue
             assert len(instances) == n
